@@ -3,24 +3,27 @@
 A score state holds r sampled (pair, search, path) triples; each node's
 score is the fraction of sampled paths it is internal to. The static runner
 draws the samples once. The update entry points keep the samples valid
-across batches of edge events:
+across batches of edge events. Every mode runs the same round: each
+sample's search is repaired, its path is replaced when the batch was not
+purely incremental or the target's distance dropped or path count changed
+(for a purely incremental batch this provably preserves the per-iteration
+sampling distribution), and the diameter bound is refreshed. Only the bound
+step differs:
 
 * ``ia`` / ``iaw`` (incremental, unweighted/weighted): only insertions and
-  weight decreases are allowed. A sample's path is replaced exactly when the
-  target's distance or path count changed, which provably preserves the
-  per-iteration sampling distribution. The caller is responsible for only
-  using these modes when the vertex diameter cannot grow.
-* ``dad`` / ``dadw`` (fully dynamic, any direction): paths are replaced
-  unconditionally whenever the batch contains a deletion or weight increase
-  (distance and count alone cannot certify that the path set survived a
-  deletion); the diameter bound is recomputed from scratch and new samples
-  are drawn, with score renormalization, whenever the required sample count
-  grows.
+  weight decreases are allowed, and the bound is kept. The caller is
+  responsible for only using these modes when the vertex diameter cannot
+  grow.
+* ``dad`` / ``dadw`` (fully dynamic, any direction): the diameter bound is
+  recomputed from scratch and new samples are drawn, with score
+  renormalization, whenever the required sample count grows.
 * ``da`` / ``daw`` (combined, undirected only): like dad/dadw, but every
   sample search doubles as a per-component diameter estimator, shared vis
-  counters reveal components no sample covers, and auxiliary estimator-only
-  searches are maintained for those, so the bound refresh costs no extra
-  full searches.
+  counters reveal components no sample covers, and auxiliary
+  estimator-only searches are maintained for those, so the bound refresh
+  costs no extra full searches. The auxiliary searches follow the rules of
+  the ``dynvd`` tracker: one whose source another search has annexed is
+  dropped, so there is at most one per component no sample covered.
 
 Per-sample updates are independent given split random streams (stream
 coordinates are (seed, domain, [round,] index)), so identical inputs give
@@ -33,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dynsssp import DynSSSP, VisCounters, local_vd_estimate, update_sssp
+from .dynvd import cover, refresh_sources
 from .errors import DeletionInIncrementalMode, InvalidParams
 from .exact import compute_extended_sssp
-from .graph import DELETE, INF, INSERT, dist_lt
+from .graph import DELETE, INSERT, dist_lt
 from .rng import stream
 from .sampling import SampledPath, sample_pair, sample_path, sample_size
 from .vdbounds import vd_upper_bound
@@ -86,15 +90,32 @@ def recount_scores(state):
     return [c / r for c in counts]
 
 
-def _draw_sample(g, params, idx, keep_state, track_vd, vis, truncate):
-    rng = stream(params.seed, _SAMPLE_DOMAIN, idx)
-    s, t = sample_pair(g.n, rng)
-    if keep_state:
-        sssp = DynSSSP.initial(g, s, track_vd=track_vd, vis=vis)
-    else:
-        sssp = compute_extended_sssp(g, s, stop_at=t if truncate else None)
-    path = sample_path(g, sssp, t, rng)
-    return SampleRecord(s, t, sssp if keep_state else None, path)
+def _add_samples(g, state, r_new, keep_state, truncate):
+    """Draw samples len(samples)..r_new-1, credit them at 1/r_new and set
+    the sample count to r_new. Existing mass is rescaled to the new rate
+    first. Kept searches join the state so later updates maintain them;
+    without keep_state only the paths are stored, and truncate stops each
+    search at its target."""
+    params = state.params
+    vis = state.vis
+    samples = state.samples
+    if samples:
+        factor = state.r / r_new
+        state.scores = [x * factor for x in state.scores]
+    inv = 1.0 / r_new
+    add = state.scores
+    for idx in range(len(samples), r_new):
+        rng = stream(params.seed, _SAMPLE_DOMAIN, idx)
+        s, t = sample_pair(g.n, rng)
+        if keep_state:
+            sssp = DynSSSP.initial(g, s, track_vd=vis is not None, vis=vis)
+        else:
+            sssp = compute_extended_sssp(g, s, stop_at=t if truncate else None)
+        path = sample_path(g, sssp, t, rng)
+        samples.append(SampleRecord(s, t, sssp if keep_state else None, path))
+        for v in path.internal:
+            add[v] += inv
+    state.r = r_new
 
 
 def approximate_bc(g, params, truncate=True):
@@ -107,15 +128,8 @@ def approximate_bc(g, params, truncate=True):
     if g.n < 2:
         raise InvalidParams("need at least two nodes")
     bound = vd_upper_bound(g).value
-    r = sample_size(bound, params)
-    state = BCState(g.n, "static", params, [0.0] * g.n, r, [], vd_bound=bound)
-    inv = 1.0 / r
-    add = state.scores
-    for i in range(r):
-        rec = _draw_sample(g, params, i, False, False, None, truncate)
-        state.samples.append(rec)
-        for v in rec.path.internal:
-            add[v] += inv
+    state = BCState(g.n, "static", params, [0.0] * g.n, 0, [], vd_bound=bound)
+    _add_samples(g, state, sample_size(bound, params), False, truncate)
     return state
 
 
@@ -140,24 +154,13 @@ def init_bc(g, params, mode, vd_bound=None):
     combined = mode in ("da", "daw")
     if vd_bound is None:
         vd_bound = vd_upper_bound(g).value
-    r = sample_size(vd_bound, params)
     vis = VisCounters.zeros(g.n) if combined else None
     state = BCState(
-        g.n, mode, params, [0.0] * g.n, r, [], vis=vis, vd_bound=vd_bound
+        g.n, mode, params, [0.0] * g.n, 0, [], vis=vis, vd_bound=vd_bound
     )
-    inv = 1.0 / r
-    add = state.scores
-    for i in range(r):
-        rec = _draw_sample(g, params, i, True, combined, vis, False)
-        state.samples.append(rec)
-        for v in rec.path.internal:
-            add[v] += inv
+    _add_samples(g, state, sample_size(vd_bound, params), True, False)
     if combined:
-        for v in range(g.n):
-            if vis.vis[v] == 0:
-                state.aux_sources.append(
-                    DynSSSP.initial(g, v, track_vd=True, vis=vis)
-                )
+        state.aux_sources = cover(g, vis, range(g.n))
     return state
 
 
@@ -193,89 +196,22 @@ def _replace_path(g, state, i, rng):
             add[v] += inv
 
 
-def _grow_samples(g, state, r_new):
-    """Raise the sample count to r_new: rescale the existing mass and credit
-    the fresh samples at the new rate. Their searches join the state so
-    later updates maintain them too."""
-    combined = state.mode in ("da", "daw")
-    factor = state.r / r_new
-    state.scores = [x * factor for x in state.scores]
-    inv = 1.0 / r_new
-    add = state.scores
-    for idx in range(state.r, r_new):
-        rec = _draw_sample(
-            g, state.params, idx, True, combined, state.vis, False
-        )
-        state.samples.append(rec)
-        for v in rec.path.internal:
-            add[v] += inv
-    state.r = r_new
-
-
-def update_incremental(g, state, events):
-    """ia/iaw update. Rejects deletions and weight increases; a sample is
-    resampled exactly when its target's distance dropped or its path count
-    changed."""
-    _require_mode(state, ("ia", "iaw"))
-    for ev in events:
-        if ev.op == DELETE:
-            raise DeletionInIncrementalMode("batch contains a deletion")
-        if ev.op != INSERT and ev.old_weight is not None and ev.weight > ev.old_weight:
-            raise DeletionInIncrementalMode("batch contains a weight increase")
-    params = state.params
-    for i, rec in enumerate(state.samples):
-        st = rec.sssp
-        t = rec.t
-        d_old = st.d[t]
-        sig_old = st.sigma[t]
-        update_sssp(g, st, events, None)
-        if dist_lt(st.d[t], d_old) or st.sigma[t] != sig_old:
-            _replace_path(
-                g, state, i, stream(params.seed, _RESAMPLE_DOMAIN, state.round, i)
-            )
-    state.round += 1
-    return state
-
-
-def update_fully_dynamic(g, state, events):
-    """dad/dadw update: per-sample search update with unconditional path
-    replacement (unless the batch is purely incremental, where the
-    conditional rule is provably safe), then a from-scratch diameter bound
-    and, if the required sample count grew, new samples plus rescaling."""
-    _require_mode(state, ("dad", "dadw"))
-    params = state.params
+def _update(g, state, events, allowed):
+    """One update round for a state whose mode is in ``allowed``: repair
+    every sample search, replace the paths the batch may have invalidated,
+    refresh the bound the mode keeps, and grow the sample set if the bound
+    now asks for more samples."""
+    _require_mode(state, allowed)
+    mode = state.mode
     incremental = _is_incremental(events)
-    for i, rec in enumerate(state.samples):
-        st = rec.sssp
-        t = rec.t
-        d_old = st.d[t]
-        sig_old = st.sigma[t]
-        update_sssp(g, st, events, None)
-        if (
-            not incremental
-            or dist_lt(st.d[t], d_old)
-            or st.sigma[t] != sig_old
-        ):
-            _replace_path(
-                g, state, i, stream(params.seed, _RESAMPLE_DOMAIN, state.round, i)
-            )
-    state.vd_bound = vd_upper_bound(g).value
-    r_new = sample_size(state.vd_bound, params)
-    if r_new > state.r:  # extra samples only ever tighten the estimate
-        _grow_samples(g, state, r_new)
-    state.round += 1
-    return state
-
-
-def update_combined(g, state, events):
-    """da/daw update: sample searches double as diameter estimators, the
-    auxiliary estimator searches are refreshed, components left uncovered
-    get new auxiliary searches, and the bound is the max over all of them."""
-    _require_mode(state, ("da", "daw"))
+    if mode in ("ia", "iaw") and not incremental:
+        raise DeletionInIncrementalMode(
+            "batch contains a deletion or a weight increase"
+        )
     params = state.params
     vis = state.vis
-    vis.U.clear()
-    incremental = _is_incremental(events)
+    if vis is not None:
+        vis.U.clear()
     for i, rec in enumerate(state.samples):
         st = rec.sssp
         t = rec.t
@@ -290,35 +226,43 @@ def update_combined(g, state, events):
             _replace_path(
                 g, state, i, stream(params.seed, _RESAMPLE_DOMAIN, state.round, i)
             )
-    for aux in state.aux_sources:
-        update_sssp(g, aux, events, vis)
-    for v in sorted(set(vis.U)):
-        if vis.vis[v] == 0:
-            state.aux_sources.append(DynSSSP.initial(g, v, track_vd=True, vis=vis))
-    vis.U.clear()
-    bound = 1.0
-    for rec in state.samples:
-        est = local_vd_estimate(g, rec.sssp)
-        if est > bound:
-            bound = est
-    for aux in state.aux_sources:
-        est = local_vd_estimate(g, aux)
-        if est > bound:
-            bound = est
-    state.vd_bound = bound
-    r_new = sample_size(bound, params)
-    if r_new > state.r:
-        _grow_samples(g, state, r_new)
+    if mode in ("dad", "dadw"):
+        state.vd_bound = vd_upper_bound(g).value
+    elif mode in ("da", "daw"):
+        state.aux_sources = refresh_sources(g, state.aux_sources, vis, events)
+        bound = 1.0
+        for st in [rec.sssp for rec in state.samples] + state.aux_sources:
+            est = local_vd_estimate(g, st)
+            if est > bound:
+                bound = est
+        state.vd_bound = bound
+    if mode not in ("ia", "iaw"):
+        r_new = sample_size(state.vd_bound, params)
+        if r_new > state.r:  # extra samples only ever tighten the estimate
+            _add_samples(g, state, r_new, True, False)
     state.round += 1
     return state
 
 
+def update_incremental(g, state, events):
+    """ia/iaw update. Rejects deletions and weight increases; a sample is
+    resampled exactly when its target's distance dropped or its path count
+    changed."""
+    return _update(g, state, events, ("ia", "iaw"))
+
+
+def update_fully_dynamic(g, state, events):
+    """dad/dadw update: after the sample repair the bound is recomputed
+    from scratch with the static class bound."""
+    return _update(g, state, events, ("dad", "dadw"))
+
+
+def update_combined(g, state, events):
+    """da/daw update: the bound is the max of the per-component estimates of
+    the sample searches and the auxiliary searches."""
+    return _update(g, state, events, ("da", "daw"))
+
+
 def update_bc(g, state, events):
-    """Dispatch to the mode's update entry point."""
-    if state.mode in ("ia", "iaw"):
-        return update_incremental(g, state, events)
-    if state.mode in ("dad", "dadw"):
-        return update_fully_dynamic(g, state, events)
-    if state.mode in ("da", "daw"):
-        return update_combined(g, state, events)
-    raise InvalidParams(f"state mode {state.mode!r} has no update")
+    """Update a state in any dynamic mode."""
+    return _update(g, state, events, MODES)

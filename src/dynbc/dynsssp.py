@@ -216,37 +216,26 @@ def update_sssp_w(g, state, events, vis=None):
     # slack weight increases are filtered out via the recorded old weight.
     for ev in events:
         op = ev.op
-        if g.directed:
-            a, b = ev.u, ev.v
-        else:
-            a, b = ev.u, ev.v
-            if d[a] > d[b]:
-                a, b = b, a
+        a, b = ev.u, ev.v
+        if not g.directed and d[a] > d[b]:
+            a, b = b, a
         da, db = d[a], d[b]
-        if op == INSERT:
-            if da == INF:
-                continue
-            c = da + ev.weight
-            if dist_lt(c, db):
-                push(b, c)
-            elif dist_eq(c, db):
-                push(b, db)
-        elif op == SET_WEIGHT:
-            if da == INF:
-                continue
-            c = da + ev.weight
-            if dist_lt(c, db):
-                push(b, c)
-            elif dist_eq(c, db):
-                push(b, db)
-            elif db != INF and (
-                ev.old_weight is None or dist_eq(db, da + ev.old_weight)
-            ):
-                push(b, db)
-        else:  # DELETE
+        if op == DELETE:
             if da == INF or db == INF:
                 continue
             if ev.old_weight is None or dist_eq(db, da + ev.old_weight):
+                push(b, db)
+        else:
+            if da == INF:
+                continue
+            c = da + ev.weight
+            if dist_lt(c, db):
+                push(b, c)
+            elif dist_eq(c, db):
+                push(b, db)
+            elif op == SET_WEIGHT and db != INF and (
+                ev.old_weight is None or dist_eq(db, da + ev.old_weight)
+            ):
                 push(b, db)
         if track:
             if op != DELETE and ev.weight < state.omega_min:
@@ -276,7 +265,7 @@ def update_sssp_w(g, state, events, vis=None):
             was_inf = prev_d == INF
             if was_inf:
                 state.reach += 1
-                if track and g.weighted:
+                if track:
                     # a newly annexed region brings edges the omega scan
                     # has never seen
                     state.vd_dirty = True
@@ -377,12 +366,9 @@ def update_sssp_u(g, state, events, vis=None):
         op = ev.op
         if op == SET_WEIGHT:
             raise InvalidParams("set-weight events on an unweighted graph")
-        if g.directed:
-            a, b = ev.u, ev.v
-        else:
-            a, b = ev.u, ev.v
-            if d[a] > d[b]:
-                a, b = b, a
+        a, b = ev.u, ev.v
+        if not g.directed and d[a] > d[b]:
+            a, b = b, a
         da, db = d[a], d[b]
         if op == INSERT:
             if da != INF and da + 1 <= db:

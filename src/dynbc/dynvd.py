@@ -5,6 +5,11 @@ detect merges (a source visited by another source's updated search becomes
 redundant) and splits (nodes whose count drops to zero seed new sources), so
 after every update round the tracker again holds exactly one source per
 component and every node is counted once.
+
+``cover`` and ``refresh_sources`` are the only code that roots, drops and
+re-roots such searches. The tracker here uses them directly; the combined
+score modes (``da`` / ``daw`` in ``bc``) use them for their auxiliary
+estimator searches, whose counters also include the sample searches.
 """
 
 from __future__ import annotations
@@ -27,36 +32,31 @@ class VDTracker:
         return len(self.sources)
 
 
-def init_vd_tracker(g):
-    """Scan nodes in index order, rooting a tracked search at every node not
-    yet covered; the bound is the max of the per-component estimates."""
-    if g.directed:
-        raise InvalidParams("the tracker handles undirected graphs")
-    vis = VisCounters.zeros(g.n)
-    sources = []
-    for v in range(g.n):
+def cover(g, vis, candidates):
+    """Root a tracked search at each candidate (in the given order) that no
+    maintained search reaches yet, and return the new searches."""
+    fresh = []
+    for v in candidates:
         if vis.vis[v] == 0:
-            sources.append(DynSSSP.initial(g, v, track_vd=True, vis=vis))
-    bound = max((local_vd_estimate(g, st) for st in sources), default=1.0)
-    return VDTracker(sources, vis, bound)
+            fresh.append(DynSSSP.initial(g, v, track_vd=True, vis=vis))
+    return fresh
 
 
-def update_vd_tracker(g, tracker, events):
-    """Refresh the tracker after a batch already applied to g.
+def refresh_sources(g, sources, vis, events):
+    """Bring tracked sources up to date with a batch already applied to g.
 
-    Sources whose own node was annexed by an earlier source's update are
-    dropped; a dropped source first hands back every node its stale search
-    still claims, so nodes left uncovered surface in U with count zero.
-    Draining U (ascending node index) then roots fresh sources for split-off
-    components. Returns the new bound.
+    A source whose own node was annexed by an earlier search's update
+    (``vis[source] > 1``) is dropped; it first hands back every node its
+    stale search still claims, so nodes left uncovered surface in U with
+    count zero. The others are updated. Draining U (ascending node index)
+    then roots fresh sources for split-off components. U must be cleared by
+    the caller before the round's first update. Returns the new source list.
     """
-    vis = tracker.vis
-    vis.U.clear()
+    counters = vis.vis
     kept = []
-    for st in tracker.sources:
-        if vis.vis[st.source] > 1:
+    for st in sources:
+        if counters[st.source] > 1:
             d = st.d
-            counters = vis.vis
             for v in range(g.n):
                 if d[v] != INF:
                     counters[v] -= 1
@@ -65,15 +65,28 @@ def update_vd_tracker(g, tracker, events):
         else:
             update_sssp(g, st, events, vis)
             kept.append(st)
-    for v in sorted(set(vis.U)):
-        if vis.vis[v] == 0:
-            kept.append(DynSSSP.initial(g, v, track_vd=True, vis=vis))
+    kept += cover(g, vis, sorted(set(vis.U)))
     vis.U.clear()
-    # safety net: the mechanics above already restore single coverage
-    counters = vis.vis
-    for v in range(g.n):
-        if counters[v] > 1:
-            counters[v] = 1
-    tracker.sources = kept
-    tracker.bound = max((local_vd_estimate(g, st) for st in kept), default=1.0)
+    return kept
+
+
+def init_vd_tracker(g):
+    """Scan nodes in index order, rooting a tracked search at every node not
+    yet covered; the bound is the max of the per-component estimates."""
+    if g.directed:
+        raise InvalidParams("the tracker handles undirected graphs")
+    vis = VisCounters.zeros(g.n)
+    sources = cover(g, vis, range(g.n))
+    bound = max((local_vd_estimate(g, st) for st in sources), default=1.0)
+    return VDTracker(sources, vis, bound)
+
+
+def update_vd_tracker(g, tracker, events):
+    """Refresh the tracker after a batch already applied to g (see
+    refresh_sources). Returns the new bound."""
+    tracker.vis.U.clear()
+    tracker.sources = refresh_sources(g, tracker.sources, tracker.vis, events)
+    tracker.bound = max(
+        (local_vd_estimate(g, st) for st in tracker.sources), default=1.0
+    )
     return tracker.bound

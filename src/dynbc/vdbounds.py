@@ -76,24 +76,38 @@ def _top_two(dists):
     return d1, d2
 
 
-def vd_ub_unweighted_undirected(g):
-    """Per component: 1 + the two largest BFS distances from one source."""
-    _check(g, False, False, "vd_ub_unweighted_undirected")
+def _cc_local_bounds(g, weighted):
+    """Per connected component: 1 + (two largest distances from the
+    lowest-index member) / omega, where omega is the component's minimum
+    edge weight, or 1 when unweighted. Single-node components score 1."""
     labels, count = connected_components(g)
     first = [-1] * count
     for v in range(g.n):
         if first[labels[v]] == -1:
             first[labels[v]] = v
-    best = 1.0
-    for c in range(count):
-        dists = _bfs_dists(g._adj, first[c])
+    search = _dijkstra_dists if weighted else _bfs_dists
+    bounds = []
+    for s in first:
+        dists = search(g._adj, s)
         if len(dists) == 1:
+            bounds.append(1.0)
             continue
+        omega = 1
+        if weighted:
+            omega = INF
+            for u in dists:
+                for v, w in g._adj[u].items():
+                    if w < omega:
+                        omega = w
         d1, d2 = _top_two(dists)
-        cand = 1.0 + d1 + d2
-        if cand > best:
-            best = cand
-    return VDBound(best, "UU")
+        bounds.append(1.0 + (d1 + d2) / omega)
+    return bounds
+
+
+def vd_ub_unweighted_undirected(g):
+    """Per component: 1 + the two largest BFS distances from one source."""
+    _check(g, False, False, "vd_ub_unweighted_undirected")
+    return VDBound(max(_cc_local_bounds(g, False), default=1.0), "UU")
 
 
 def vd_ub_strongly_connected(g, s):
@@ -162,26 +176,7 @@ def vd_ub_directed(g):
 def vd_ub_weighted_undirected(g):
     """Per component: 1 + (two largest distances)/(minimum edge weight)."""
     _check(g, False, True, "vd_ub_weighted_undirected")
-    labels, count = connected_components(g)
-    first = [-1] * count
-    for v in range(g.n):
-        if first[labels[v]] == -1:
-            first[labels[v]] = v
-    best = 1.0
-    for c in range(count):
-        dists = _dijkstra_dists(g._adj, first[c])
-        if len(dists) == 1:
-            continue
-        omega = INF
-        for u in dists:
-            for v, w in g._adj[u].items():
-                if w < omega:
-                    omega = w
-        d1, d2 = _top_two(dists)
-        cand = 1.0 + (d1 + d2) / omega
-        if cand > best:
-            best = cand
-    return VDBound(best, "W")
+    return VDBound(max(_cc_local_bounds(g, True), default=1.0), "W")
 
 
 def vd_ub_directed_weighted(g):

@@ -145,6 +145,17 @@ def test_incremental_rejects_deletions_and_increases():
     inc = [EdgeEvent(0, 1, "set-weight", 9.0, old_weight=1.0)]
     with pytest.raises(DeletionInIncrementalMode):
         update_incremental(gw, stw, inc)
+    # without the old weight the change cannot be shown to be a decrease
+    unknown = [EdgeEvent(0, 1, "set-weight", 0.5)]
+    with pytest.raises(DeletionInIncrementalMode):
+        update_incremental(gw, stw, unknown)
+
+
+def test_update_bc_rejects_static_state():
+    g = generate("path", n=5)
+    st = approximate_bc(g, SamplingParams(0.3, 0.3))
+    with pytest.raises(InvalidParams):
+        update_bc(g, st, [])
 
 
 def test_incremental_untouched_batch_is_bit_identical():
@@ -288,6 +299,19 @@ def test_combined_split_grows_aux_sources():
     assert all(covered)
 
 
+def test_combined_merge_drops_annexed_aux_source():
+    # the sample search from 0 annexes the auxiliary search rooted at 2
+    g = DynGraph(4)
+    g.insert_edge(0, 1)
+    g.insert_edge(2, 3)
+    params = SamplingParams(0.5, 0.5, seed=3)
+    st = forced_state(g, params, "da", [(0, 1)])
+    assert [aux.source for aux in st.aux_sources] == [2]
+    eff = apply_batch(g, [EdgeEvent(1, 2)])
+    update_combined(g, st, eff)
+    assert st.aux_sources == []
+
+
 def test_combined_matches_fully_dynamic_on_encoded_graph():
     # the same undirected instance once as-is (da) and once with both arcs
     # (dad): same seeds and same forced bound give identical scores
@@ -358,6 +382,8 @@ def test_sampled_paths_stay_shortest_after_updates():
                     assert g.has_edge(a, b)
                     total += g.edge_weight(a, b)
                 assert dist_eq(total, fresh.d[rec.t])
+            for aux in st.aux_sources:
+                assert st.vis.vis[aux.source] == 1
 
 
 def test_identical_inputs_give_identical_states():
