@@ -90,12 +90,13 @@ def recount_scores(state):
     return [c / r for c in counts]
 
 
-def _add_samples(g, state, r_new, keep_state, truncate):
+def _add_samples(g, state, r_new, truncate=False):
     """Draw samples len(samples)..r_new-1, credit them at 1/r_new and set
     the sample count to r_new. Existing mass is rescaled to the new rate
-    first. Kept searches join the state so later updates maintain them;
-    without keep_state only the paths are stored, and truncate stops each
-    search at its target."""
+    first. A dynamic state keeps each search so later updates maintain it;
+    a static one stores only the paths, and truncate stops each search at
+    its target."""
+    keep_state = state.mode != "static"
     params = state.params
     vis = state.vis
     samples = state.samples
@@ -129,7 +130,7 @@ def approximate_bc(g, params, truncate=True):
         raise InvalidParams("need at least two nodes")
     bound = vd_upper_bound(g).value
     state = BCState(g.n, "static", params, [0.0] * g.n, 0, [], vd_bound=bound)
-    _add_samples(g, state, sample_size(bound, params), False, truncate)
+    _add_samples(g, state, sample_size(bound, params), truncate)
     return state
 
 
@@ -158,7 +159,7 @@ def init_bc(g, params, mode, vd_bound=None):
     state = BCState(
         g.n, mode, params, [0.0] * g.n, 0, [], vis=vis, vd_bound=vd_bound
     )
-    _add_samples(g, state, sample_size(vd_bound, params), True, False)
+    _add_samples(g, state, sample_size(vd_bound, params))
     if combined:
         state.aux_sources = cover(g, vis, range(g.n))
     return state
@@ -239,7 +240,7 @@ def _update(g, state, events, allowed):
     if mode not in ("ia", "iaw"):
         r_new = sample_size(state.vd_bound, params)
         if r_new > state.r:  # extra samples only ever tighten the estimate
-            _add_samples(g, state, r_new, True, False)
+            _add_samples(g, state, r_new)
     state.round += 1
     return state
 

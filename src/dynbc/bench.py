@@ -29,7 +29,7 @@ from .errors import (
 from .exact import brandes_exact
 from .graph import DELETE, INSERT, SET_WEIGHT, Batch, DynGraph, EdgeEvent, apply_batch
 
-_SCENARIOS = ("real", "random", "weights")
+SCENARIOS = ("real", "random", "weights")
 _POW2 = {1 << i for i in range(11)}  # 1 .. 1024
 
 
@@ -44,7 +44,7 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _SCENARIOS:
+        if self.kind not in SCENARIOS:
             raise InvalidParams(f"unknown scenario {self.kind!r}")
         if not self.batch_sizes:
             raise InvalidParams("need at least one batch size")

@@ -17,13 +17,12 @@ import json
 import random
 import sys
 
-from .bench import ScenarioSpec, load_edge_list, run_experiment
+from .bc import MODES
+from .bench import SCENARIOS, ScenarioSpec, load_edge_list, run_experiment
 from .exact import brandes_exact
 from .graph import generate, max_shortest_path_hops, weakly_connected_components
 from .sampling import SamplingParams
 from .vdbounds import vd_upper_bound
-
-_SCENARIO_FLAG = {"real": "real", "random": "random", "weights": "weights"}
 
 
 def _add_graph_args(p):
@@ -55,12 +54,10 @@ def main(argv=None):
 
     p_run = sub.add_parser("run", help="replay a dynamic scenario")
     _add_graph_args(p_run)
-    p_run.add_argument(
-        "--mode", required=True, choices=("ia", "iaw", "dad", "dadw", "da", "daw")
-    )
+    p_run.add_argument("--mode", required=True, choices=MODES)
     p_run.add_argument("--epsilon", type=float, default=0.1)
     p_run.add_argument("--delta", type=float, default=0.1)
-    p_run.add_argument("--scenario", choices=tuple(_SCENARIO_FLAG), default="real")
+    p_run.add_argument("--scenario", choices=SCENARIOS, default="real")
     p_run.add_argument("--x", type=int, required=True, help="prepared events")
     p_run.add_argument(
         "--batch-sizes", default="1,16,1024", help="comma-separated powers of two"
@@ -110,7 +107,7 @@ def main(argv=None):
         )
         batch_sizes = [int(x) for x in args.batch_sizes.split(",") if x]
         spec = ScenarioSpec(
-            kind=_SCENARIO_FLAG[args.scenario],
+            kind=args.scenario,
             x=args.x,
             batch_sizes=batch_sizes,
             runs=args.runs,
@@ -140,8 +137,7 @@ def main(argv=None):
             (max_shortest_path_hops(g, s) for s in sampled), default=0
         )
         bound = vd_upper_bound(g)
-        _, count = weakly_connected_components(g)
-        labels, _ = weakly_connected_components(g)
+        labels, count = weakly_connected_components(g)
         sizes = [0] * count
         for v in range(g.n):
             sizes[labels[v]] += 1

@@ -4,10 +4,11 @@ Updates a stored distance/path-count state after a canonical batch of edge
 events has already been applied to the graph, touching only the neighbourhood
 of nodes whose values can actually change. The weighted routine settles
 candidate distances through a priority queue; the unweighted one replaces the
-queue with per-level FIFO buckets and node colors. Both can additionally
-maintain shared reachability counters (``vis``) and the ingredients of a
-per-component vertex-diameter estimate: the two largest distances seen from
-the source and the smallest edge weight in the source's component.
+queue with one plain list per distance level, walked level by level in
+insertion order, and node colors. Both can additionally maintain shared
+reachability counters (``vis``) and the ingredients of a per-component
+vertex-diameter estimate: the two largest distances seen from the source and
+the smallest edge weight in the source's component.
 
 Rules the update loops rely on:
 
@@ -31,7 +32,6 @@ atomic; the reference semantics used here are sequential over sources.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import InconsistentState, InvalidParams
@@ -98,7 +98,7 @@ class DynSSSP:
         self.track_vd = track_vd
         self.d = d
         self.sigma = sigma
-        self.reach = sum(1 for x in d if x != INF)
+        self.reach = 0
         self.d1 = -1.0
         self.n1 = -1
         self.d2 = -1.0
@@ -109,22 +109,23 @@ class DynSSSP:
     @classmethod
     def initial(cls, g, source, track_vd=False, vis=None):
         """Fresh full search from source; increments vis over the nodes it
-        reaches when counters are supplied."""
+        reaches when counters are supplied. One walk over the distances
+        counts reach, feeds the top-two tracker in node order and bumps
+        vis."""
         base = compute_extended_sssp(g, source)
         st = cls(source, g.weighted, track_vd, base.d, base.sigma)
-        if track_vd:
-            d = st.d
-            for v in range(g.n):
-                if d[v] != INF:
-                    st._observe(v, d[v])
-            if g.weighted:
-                st._rescan_omega(g)
-        if vis is not None:
-            counters = vis.vis
-            d = st.d
-            for v in range(g.n):
-                if d[v] != INF:
+        counters = vis.vis if vis is not None else None
+        reach = 0
+        for v, dv in enumerate(base.d):
+            if dv != INF:
+                reach += 1
+                if track_vd:
+                    st._observe(v, dv)
+                if counters is not None:
                     counters[v] += 1
+        st.reach = reach
+        if track_vd and g.weighted:
+            st._rescan_omega(g)
         return st
 
     def _observe(self, v, dv):
@@ -327,7 +328,7 @@ def update_sssp_w(g, state, events, vis=None):
 
 
 def update_sssp_u(g, state, events, vis=None):
-    """Unweighted batch update (level buckets and colors).
+    """Unweighted batch update (per-level lists and colors).
 
     Same contract as update_sssp_w. Candidate levels replace priorities;
     a node is colored black once its final level is known and black nodes
@@ -345,22 +346,10 @@ def update_sssp_u(g, state, events, vis=None):
     n = g.n
 
     buckets = {}
-    pending = 0
-    kmin = None
     color = bytearray(n)
     old_d = {}
     old_sig = {}
     touched = 0
-
-    def enqueue(v, k):
-        nonlocal pending, kmin
-        q = buckets.get(k)
-        if q is None:
-            q = buckets[k] = deque()
-        q.append(v)
-        pending += 1
-        if kmin is None or k < kmin:
-            kmin = k
 
     for ev in events:
         op = ev.op
@@ -372,22 +361,23 @@ def update_sssp_u(g, state, events, vis=None):
         da, db = d[a], d[b]
         if op == INSERT:
             if da != INF and da + 1 <= db:
-                enqueue(b, da + 1)
+                buckets.setdefault(da + 1, []).append(b)
         else:  # DELETE: only edges on some shortest path matter
             if da != INF and db != INF and db == da + 1:
-                enqueue(b, db)
+                buckets.setdefault(db, []).append(b)
 
-    k = kmin if kmin is not None else 0
-    while pending:
+    # A node processed at level k only queues nodes at levels above k: its
+    # out-neighbours at k + 1, itself at con > k, and the nodes that routed
+    # through it at d[w] + 1, where d[w] >= k for every uncolored node popped
+    # at level k. So once level k's list is taken nothing joins it or any
+    # lower level, and the walk steps k up by one until no list is left.
+    k = min(buckets) if buckets else 0
+    while buckets:
         if k > n:
             raise InconsistentState("candidate level beyond any simple path")
-        q = buckets.get(k)
-        if not q:
-            k += 1
-            continue
-        while q:
-            w = q.popleft()
-            pending -= 1
+        km1 = k - 1
+        k1 = k + 1
+        for w in buckets.pop(k, ()):
             if color[w]:
                 continue
             con = INF
@@ -408,7 +398,6 @@ def update_sssp_u(g, state, events, vis=None):
                     state.reach += 1
                     if counters is not None:
                         counters[w] += 1
-                km1 = k - 1
                 s = 0
                 for z in in_adj[w]:
                     touched += 1
@@ -420,14 +409,11 @@ def update_sssp_u(g, state, events, vis=None):
                 if track:
                     state._observe(w, k)
                 changed = prev_d != k or prev_sig != s
-                k1 = k + 1
                 for z in out_adj[w]:
                     touched += 1
                     dz = d[z]
-                    if dz == INF or dz > k1:
-                        enqueue(z, k1)
-                    elif dz == k1 and changed:
-                        enqueue(z, k1)
+                    if dz == INF or dz > k1 or (dz == k1 and changed):
+                        buckets.setdefault(k1, []).append(z)
             elif con > k:
                 if d[w] != INF:
                     if w not in old_d:
@@ -442,14 +428,14 @@ def update_sssp_u(g, state, events, vis=None):
                         if counters[w] == 0:
                             vis.U.append(w)
                     if con != INF:
-                        enqueue(w, con)
+                        buckets.setdefault(con, []).append(w)
                     prev1 = prev + 1
                     for z in out_adj[w]:
                         touched += 1
                         if d[z] == prev1:
-                            enqueue(z, prev1)
+                            buckets.setdefault(prev1, []).append(z)
                 elif con != INF:
-                    enqueue(w, con)
+                    buckets.setdefault(con, []).append(w)
             else:
                 raise InconsistentState(
                     f"candidate level {k} below best incoming level {con} at {w}"

@@ -27,10 +27,6 @@ class VDTracker:
         self.vis = vis
         self.bound = bound
 
-    @property
-    def n_components(self):
-        return len(self.sources)
-
 
 def cover(g, vis, candidates):
     """Root a tracked search at each candidate (in the given order) that no

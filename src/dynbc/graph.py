@@ -165,13 +165,6 @@ class DynGraph:
                     if u < v:
                         yield u, v, w
 
-    def min_edge_weight(self):
-        best = INF
-        for _, _, w in self.edges():
-            if w < best:
-                best = w
-        return best
-
     def copy(self):
         g = DynGraph(self.n, self.directed, self.weighted)
         g._adj = [dict(a) for a in self._adj]

@@ -4,8 +4,10 @@ The vertex diameter (the node count of the hop-richest shortest path) feeds
 the sample-size formula, so only an upper bound is needed and it must be
 cheap: each bound here costs one or two truncated searches per component.
 Sources are always the lowest-index node of their component, which keeps the
-values deterministic. Weighted bounds may be fractional; consumers round up
-before use.
+values deterministic. Undirected bounds find those sources with the searches
+themselves: scanning nodes in index order, each node that no earlier search
+reached roots the next one. Weighted bounds may be fractional; consumers
+round up before use.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InvalidParams, NotStronglyConnected
-from .graph import INF, dist_lt, connected_components, strongly_connected_components
+from .graph import INF, dist_lt, strongly_connected_components
 
 
 @dataclass
@@ -30,22 +32,24 @@ def _check(g, directed, weighted, name):
         raise InvalidParams(f"{name} needs a {want} graph")
 
 
-def _bfs_dists(adj, s, allowed=None, comp_of=None):
-    """BFS distance map from s; with allowed/comp_of the search never leaves
-    the component labelled ``allowed``."""
+def _bfs_dists(adj, s, comp_of=None):
+    """BFS distance map from s; with comp_of the search never leaves the
+    component ``comp_of[s]``."""
+    cid = comp_of[s] if comp_of is not None else None
     dist = {s: 0}
     dq = deque([s])
     while dq:
         u = dq.popleft()
         du1 = dist[u] + 1
         for v in adj[u]:
-            if v not in dist and (allowed is None or comp_of[v] == allowed):
+            if v not in dist and (comp_of is None or comp_of[v] == cid):
                 dist[v] = du1
                 dq.append(v)
     return dist
 
 
-def _dijkstra_dists(adj, s, allowed=None, comp_of=None):
+def _dijkstra_dists(adj, s, comp_of=None):
+    cid = comp_of[s] if comp_of is not None else None
     dist = {s: 0.0}
     heap = [(0.0, s)]
     done = set()
@@ -55,7 +59,7 @@ def _dijkstra_dists(adj, s, allowed=None, comp_of=None):
             continue
         done.add(u)
         for v, w in adj[u].items():
-            if v in done or (allowed is not None and comp_of[v] != allowed):
+            if v in done or (comp_of is not None and comp_of[v] != cid):
                 continue
             c = du + w
             if dist_lt(c, dist.get(v, INF)):
@@ -64,42 +68,37 @@ def _dijkstra_dists(adj, s, allowed=None, comp_of=None):
     return dist
 
 
-def _top_two(dists):
-    """Largest and second-largest distance over distinct nodes (the source
-    itself, at distance 0, may supply the second value)."""
-    d1 = d2 = -1.0
-    for dv in dists.values():
-        if dv > d1:
-            d1, d2 = dv, d1
-        elif dv > d2:
-            d2 = dv
-    return d1, d2
+def _min_weight(g, nodes, comp_of=None):
+    """Smallest weight on an edge out of nodes; with comp_of only edges
+    that stay inside their tail's component count."""
+    omega = INF
+    for u in nodes:
+        for v, w in g._adj[u].items():
+            if w < omega and (comp_of is None or comp_of[v] == comp_of[u]):
+                omega = w
+    return omega
 
 
-def _cc_local_bounds(g, weighted):
+def _cc_local_bounds(g):
     """Per connected component: 1 + (two largest distances from the
     lowest-index member) / omega, where omega is the component's minimum
-    edge weight, or 1 when unweighted. Single-node components score 1."""
-    labels, count = connected_components(g)
-    first = [-1] * count
-    for v in range(g.n):
-        if first[labels[v]] == -1:
-            first[labels[v]] = v
-    search = _dijkstra_dists if weighted else _bfs_dists
+    edge weight, or 1 when unweighted. Single-node components score 1.
+    A node that no earlier search reached is the lowest-index member of a
+    component not yet seen."""
+    search = _dijkstra_dists if g.weighted else _bfs_dists
+    seen = bytearray(g.n)
     bounds = []
-    for s in first:
+    for s in range(g.n):
+        if seen[s]:
+            continue
         dists = search(g._adj, s)
+        for v in dists:
+            seen[v] = 1
         if len(dists) == 1:
             bounds.append(1.0)
             continue
-        omega = 1
-        if weighted:
-            omega = INF
-            for u in dists:
-                for v, w in g._adj[u].items():
-                    if w < omega:
-                        omega = w
-        d1, d2 = _top_two(dists)
+        omega = _min_weight(g, dists) if g.weighted else 1
+        d1, d2 = heapq.nlargest(2, dists.values())
         bounds.append(1.0 + (d1 + d2) / omega)
     return bounds
 
@@ -107,7 +106,7 @@ def _cc_local_bounds(g, weighted):
 def vd_ub_unweighted_undirected(g):
     """Per component: 1 + the two largest BFS distances from one source."""
     _check(g, False, False, "vd_ub_unweighted_undirected")
-    return VDBound(max(_cc_local_bounds(g, False), default=1.0), "UU")
+    return VDBound(max(_cc_local_bounds(g), default=1.0), "UU")
 
 
 def vd_ub_strongly_connected(g, s):
@@ -124,26 +123,21 @@ def vd_ub_strongly_connected(g, s):
     return VDBound(1.0 + max(fwd.values()) + max(bwd.values()), "SC")
 
 
-def _scc_local_bounds(g, cond, weighted):
+def _scc_local_bounds(g, cond):
     """Per-SCC bound: forward and backward searches from the lowest-index
     member, truncated at the SCC boundary. Single-node SCCs score 1."""
-    search = _dijkstra_dists if weighted else _bfs_dists
+    search = _dijkstra_dists if g.weighted else _bfs_dists
     bounds = []
-    for cid, members in enumerate(cond.members):
+    for members in cond.members:
         if len(members) == 1:
             bounds.append(1.0)
             continue
         s = min(members)
-        fwd = search(g._adj, s, cid, cond.comp_of)
-        bwd = search(g._radj, s, cid, cond.comp_of)
+        fwd = search(g._adj, s, cond.comp_of)
+        bwd = search(g._radj, s, cond.comp_of)
         reach = max(fwd.values()) + max(bwd.values())
-        if weighted:
-            omega = INF
-            for u in members:
-                for v, w in g._adj[u].items():
-                    if cond.comp_of[v] == cid and w < omega:
-                        omega = w
-            bounds.append(1.0 + reach / omega)
+        if g.weighted:
+            bounds.append(1.0 + reach / _min_weight(g, members, cond.comp_of))
         else:
             bounds.append(1.0 + reach)
     return bounds
@@ -169,21 +163,21 @@ def vd_ub_directed(g):
     """Per-SCC bounds accumulated along the condensation DAG."""
     _check(g, True, False, "vd_ub_directed")
     cond = strongly_connected_components(g)
-    local = _scc_local_bounds(g, cond, weighted=False)
+    local = _scc_local_bounds(g, cond)
     return VDBound(_accumulate_over_dag(cond, local), "DIR")
 
 
 def vd_ub_weighted_undirected(g):
     """Per component: 1 + (two largest distances)/(minimum edge weight)."""
     _check(g, False, True, "vd_ub_weighted_undirected")
-    return VDBound(max(_cc_local_bounds(g, True), default=1.0), "W")
+    return VDBound(max(_cc_local_bounds(g), default=1.0), "W")
 
 
 def vd_ub_directed_weighted(g):
     """Weighted per-SCC bounds accumulated along the condensation DAG."""
     _check(g, True, True, "vd_ub_directed_weighted")
     cond = strongly_connected_components(g)
-    local = _scc_local_bounds(g, cond, weighted=True)
+    local = _scc_local_bounds(g, cond)
     return VDBound(_accumulate_over_dag(cond, local), "SCW")
 
 

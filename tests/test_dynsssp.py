@@ -18,7 +18,7 @@ from dynbc import (
     update_sssp_u,
     update_sssp_w,
 )
-from dynbc.errors import InvalidParams
+from dynbc.errors import InconsistentState, InvalidParams
 
 from helpers import random_graph, random_valid_batch
 
@@ -102,6 +102,28 @@ def test_wrong_updater_rejected():
     stu = DynSSSP.initial(gu, 0)
     with pytest.raises(InvalidParams):
         update_sssp_w(gu, stu, [])
+
+
+def test_update_rejects_inconsistent_state():
+    # a stored level above the best incoming level
+    g = DynGraph(3)
+    for u, v in ((0, 1), (1, 2), (0, 2)):
+        g.insert_edge(u, v)
+    st = DynSSSP.initial(g, 0)
+    st.d[2] = 2
+    eff = apply_batch(g, [EdgeEvent(1, 2, "delete")])
+    with pytest.raises(InconsistentState, match="below best incoming level 1"):
+        update_sssp_u(g, st, eff)
+    # a stored level no simple path can have
+    g = DynGraph(3)
+    for u, v in ((0, 1), (1, 2)):
+        g.insert_edge(u, v)
+    st = DynSSSP.initial(g, 0)
+    st.d[1] = 7
+    st.d[2] = 8
+    eff = apply_batch(g, [EdgeEvent(1, 2, "delete")])
+    with pytest.raises(InconsistentState, match="beyond any simple path"):
+        update_sssp_u(g, st, eff)
 
 
 def test_oracle_equivalence_randomized():

@@ -12,6 +12,7 @@ from dynbc import (
     generate,
     init_vd_tracker,
     update_vd_tracker,
+    vd_upper_bound,
 )
 from dynbc.errors import InvalidParams
 
@@ -131,3 +132,17 @@ def test_randomized_weighted_sequences():
             eff = apply_batch(g, Batch(events))
             update_vd_tracker(g, tr, eff)
             check_tracker(g, tr)
+
+
+def test_static_bound_equals_tracker_bound():
+    # both root one search at the lowest-index node of every component and
+    # score it 1 + (d1 + d2) / omega, so the values agree exactly
+    rng = random.Random(60323)
+    split = 0
+    for weighted in (False, True):
+        for trial in range(100):
+            n = rng.randrange(4, 40)
+            g = random_graph(rng, n, avg_deg=1.0, weighted=weighted)
+            split += connected_components(g)[1] > 1
+            assert vd_upper_bound(g).value == init_vd_tracker(g).bound
+    assert split > 100
