@@ -17,13 +17,12 @@ step differs:
 * ``dad`` / ``dadw`` (fully dynamic, any direction): the diameter bound is
   recomputed from scratch and new samples are drawn, with score
   renormalization, whenever the required sample count grows.
-* ``da`` / ``daw`` (combined, undirected only): like dad/dadw, but every
-  sample search doubles as a per-component diameter estimator, shared vis
-  counters reveal components no sample covers, and auxiliary
-  estimator-only searches are maintained for those, so the bound refresh
-  costs no extra full searches. The auxiliary searches follow the rules of
-  the ``dynvd`` tracker: one whose source another search has annexed is
-  dropped, so there is at most one per component no sample covered.
+* ``da`` / ``daw`` (combined, undirected only): like dad/dadw, but the
+  bound comes from the fully dynamic ``dynvd`` tracker instead of a static
+  recomputation: one estimator search per connected component, kept in
+  ``aux_sources`` with its own ``vis`` counters, refreshed after every
+  batch. The sample searches do no diameter bookkeeping, so the bound, and
+  with it r, does not depend on which sources were sampled.
 
 Per-sample updates are independent given split random streams (stream
 coordinates are (seed, domain, [round,] index)), so identical inputs give
@@ -68,8 +67,8 @@ class BCState:
     scores: list[float]
     r: int
     samples: list[SampleRecord]
-    aux_sources: list[DynSSSP] = field(default_factory=list)
-    vis: VisCounters | None = None
+    aux_sources: list[DynSSSP] = field(default_factory=list)  # da/daw tracker
+    vis: VisCounters | None = None  # the tracker's counters
     vd_bound: float = 1.0
     round: int = 0
 
@@ -98,7 +97,6 @@ def _add_samples(g, state, r_new, truncate=False):
     its target."""
     keep_state = state.mode != "static"
     params = state.params
-    vis = state.vis
     samples = state.samples
     if samples:
         factor = state.r / r_new
@@ -109,7 +107,7 @@ def _add_samples(g, state, r_new, truncate=False):
         rng = stream(params.seed, _SAMPLE_DOMAIN, idx)
         s, t = sample_pair(g.n, rng)
         if keep_state:
-            sssp = DynSSSP.initial(g, s, track_vd=vis is not None, vis=vis)
+            sssp = DynSSSP.initial(g, s)
         else:
             sssp = compute_extended_sssp(g, s, stop_at=t if truncate else None)
         path = sample_path(g, sssp, t, rng)
@@ -138,9 +136,8 @@ def init_bc(g, params, mode, vd_bound=None):
     """Initialize a dynamic score state in the given mode.
 
     ``vd_bound`` overrides the computed bound (useful for experiments that
-    need two modes to agree on the sample count). For da/daw, components not
-    reached by any sample search get an auxiliary estimator-only search so
-    that every component contributes to the diameter bound.
+    need two modes to agree on the sample count). da/daw root the ``dynvd``
+    tracker, one search per component; its bound equals ``vd_upper_bound``.
     """
     if mode not in MODES:
         raise InvalidParams(f"unknown mode {mode!r}")
@@ -152,17 +149,22 @@ def init_bc(g, params, mode, vd_bound=None):
     if mode in ("da", "daw") and g.directed:
         raise InvalidParams(f"mode {mode!r} needs an undirected graph")
 
-    combined = mode in ("da", "daw")
-    if vd_bound is None:
-        vd_bound = vd_upper_bound(g).value
-    vis = VisCounters.zeros(g.n) if combined else None
-    state = BCState(
-        g.n, mode, params, [0.0] * g.n, 0, [], vis=vis, vd_bound=vd_bound
-    )
-    _add_samples(g, state, sample_size(vd_bound, params))
-    if combined:
-        state.aux_sources = cover(g, vis, range(g.n))
+    state = BCState(g.n, mode, params, [0.0] * g.n, 0, [], vd_bound=vd_bound)
+    if mode in ("da", "daw"):
+        state.vis = VisCounters.zeros(g.n)
+        state.aux_sources = cover(g, state.vis, range(g.n))
+        if vd_bound is None:
+            state.vd_bound = _tracker_bound(g, state)
+    elif vd_bound is None:
+        state.vd_bound = vd_upper_bound(g).value
+    _add_samples(g, state, sample_size(state.vd_bound, params))
     return state
+
+
+def _tracker_bound(g, state):
+    return max(
+        (local_vd_estimate(g, st) for st in state.aux_sources), default=1.0
+    )
 
 
 def _require_mode(state, allowed):
@@ -210,15 +212,12 @@ def _update(g, state, events, allowed):
             "batch contains a deletion or a weight increase"
         )
     params = state.params
-    vis = state.vis
-    if vis is not None:
-        vis.U.clear()
     for i, rec in enumerate(state.samples):
         st = rec.sssp
         t = rec.t
         d_old = st.d[t]
         sig_old = st.sigma[t]
-        update_sssp(g, st, events, vis)
+        update_sssp(g, st, events)
         if (
             not incremental
             or dist_lt(st.d[t], d_old)
@@ -230,13 +229,10 @@ def _update(g, state, events, allowed):
     if mode in ("dad", "dadw"):
         state.vd_bound = vd_upper_bound(g).value
     elif mode in ("da", "daw"):
-        state.aux_sources = refresh_sources(g, state.aux_sources, vis, events)
-        bound = 1.0
-        for st in [rec.sssp for rec in state.samples] + state.aux_sources:
-            est = local_vd_estimate(g, st)
-            if est > bound:
-                bound = est
-        state.vd_bound = bound
+        state.aux_sources = refresh_sources(
+            g, state.aux_sources, state.vis, events
+        )
+        state.vd_bound = _tracker_bound(g, state)
     if mode not in ("ia", "iaw"):
         r_new = sample_size(state.vd_bound, params)
         if r_new > state.r:  # extra samples only ever tighten the estimate
@@ -259,8 +255,8 @@ def update_fully_dynamic(g, state, events):
 
 
 def update_combined(g, state, events):
-    """da/daw update: the bound is the max of the per-component estimates of
-    the sample searches and the auxiliary searches."""
+    """da/daw update: the ``dynvd`` tracker is refreshed, and the bound is
+    the max of its per-component estimates."""
     return _update(g, state, events, ("da", "daw"))
 
 

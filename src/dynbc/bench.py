@@ -69,7 +69,9 @@ class RunReport:
     n: int
     m_final: int
     events_applied: int
+    r_initial: int
     r_final: int
+    vd_bound_final: float
     t_dynamic: float
     t_static: float
     speedup: float
@@ -275,7 +277,7 @@ def run_experiment(
 ):
     """Replay the scenario through the chosen mode, once per (batch size,
     run), timing the batched updates against a from-scratch recomputation on
-    the final graph. Yields one RunReport per run."""
+    the final graph. Returns a list with one RunReport per run."""
     from dataclasses import replace
 
     reports = []
@@ -288,6 +290,7 @@ def run_experiment(
             run_params = replace(params, seed=params.seed + run)
             g_run = initial.copy()
             state = init_bc(g_run, run_params, mode)
+            r_initial = state.r
             applied = 0
             t_dyn = 0.0
             for batch in batches:
@@ -307,7 +310,9 @@ def run_experiment(
                 n=g_run.n,
                 m_final=g_run.m,
                 events_applied=applied,
+                r_initial=r_initial,
                 r_final=state.r,
+                vd_bound_final=state.vd_bound,
                 t_dynamic=t_dyn,
                 t_static=t_static,
                 speedup=(t_static / t_dyn) if t_dyn > 0 else float("inf"),

@@ -7,9 +7,8 @@ after every update round the tracker again holds exactly one source per
 component and every node is counted once.
 
 ``cover`` and ``refresh_sources`` are the only code that roots, drops and
-re-roots such searches. The tracker here uses them directly; the combined
-score modes (``da`` / ``daw`` in ``bc``) use them for their auxiliary
-estimator searches, whose counters also include the sample searches.
+re-roots such searches. ``VDTracker`` here and the combined score modes
+(``da`` / ``daw`` in ``bc``, which set their bound from it) use them.
 """
 
 from __future__ import annotations
@@ -45,8 +44,9 @@ def refresh_sources(g, sources, vis, events):
     (``vis[source] > 1``) is dropped; it first hands back every node its
     stale search still claims, so nodes left uncovered surface in U with
     count zero. The others are updated. Draining U (ascending node index)
-    then roots fresh sources for split-off components. U must be cleared by
-    the caller before the round's first update. Returns the new source list.
+    then roots fresh sources for split-off components. U is empty between
+    rounds, since only updates fill it and this drains it. Returns the new
+    source list.
     """
     counters = vis.vis
     kept = []
@@ -80,7 +80,6 @@ def init_vd_tracker(g):
 def update_vd_tracker(g, tracker, events):
     """Refresh the tracker after a batch already applied to g (see
     refresh_sources). Returns the new bound."""
-    tracker.vis.U.clear()
     tracker.sources = refresh_sources(g, tracker.sources, tracker.vis, events)
     tracker.bound = max(
         (local_vd_estimate(g, st) for st in tracker.sources), default=1.0

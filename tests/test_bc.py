@@ -16,7 +16,9 @@ from dynbc import (
     approximate_bc,
     brandes_exact,
     compute_extended_sssp,
+    connected_components,
     dist_eq,
+    exact_vertex_diameter,
     generate,
     init_bc,
     recount_scores,
@@ -27,8 +29,10 @@ from dynbc import (
     update_combined,
     update_fully_dynamic,
     update_incremental,
+    vd_upper_bound,
 )
 from dynbc.bc import BCState, SampleRecord, _SAMPLE_DOMAIN
+from dynbc.dynvd import cover
 from dynbc.errors import DeletionInIncrementalMode, InvalidParams
 from dynbc.rng import stream
 
@@ -36,14 +40,14 @@ from helpers import CHI2_CRIT_1E3, random_graph, random_valid_batch
 
 
 def forced_state(g, params, mode, pairs, vd_bound=None):
-    """Assemble a score state with hand-picked sample pairs (white box)."""
-    combined = mode in ("da", "daw")
-    vis = VisCounters.zeros(g.n) if combined else None
+    """Assemble a score state with hand-picked sample pairs (white box).
+    Samples and, for da/daw, the diameter tracker are built as init_bc
+    builds them."""
     r = len(pairs)
     vals = [0.0] * g.n
     samples = []
     for i, (s, t) in enumerate(pairs):
-        sssp = DynSSSP.initial(g, s, track_vd=combined, vis=vis)
+        sssp = DynSSSP.initial(g, s)
         rng = stream(params.seed, _SAMPLE_DOMAIN, i)
         path = sample_path(g, sssp, t, rng)
         samples.append(SampleRecord(s, t, sssp, path))
@@ -56,13 +60,11 @@ def forced_state(g, params, mode, pairs, vd_bound=None):
         vals,
         r,
         samples,
-        vis=vis,
         vd_bound=vd_bound if vd_bound is not None else float(g.n),
     )
-    if combined:
-        for v in range(g.n):
-            if vis.vis[v] == 0:
-                state.aux_sources.append(DynSSSP.initial(g, v, track_vd=True, vis=vis))
+    if mode in ("da", "daw"):
+        state.vis = VisCounters.zeros(g.n)
+        state.aux_sources = cover(g, state.vis, range(g.n))
     return state
 
 
@@ -91,10 +93,12 @@ def test_init_mode_validation():
 
 
 def test_init_combined_connected_graph_needs_no_aux():
+    # a connected graph needs one tracker search and nothing beyond it
     g = generate("dorogovtsev-mendes", n=40, seed=2)
     st = init_bc(g, SamplingParams(0.3, 0.3, seed=1), "da")
-    assert st.aux_sources == []
-    assert all(v >= 1 for v in st.vis.vis)
+    assert [aux.source for aux in st.aux_sources] == [0]
+    assert all(v == 1 for v in st.vis.vis)
+    assert all(not rec.sssp.track_vd for rec in st.samples)
 
 
 def test_init_combined_uncovered_component_gets_aux_source():
@@ -278,38 +282,80 @@ def test_combined_pure_insertions_equal_incremental():
 def test_combined_split_grows_aux_sources():
     g = generate("path", n=8)
     params = SamplingParams(0.5, 0.5, seed=2)
-    # force both samples onto the left half so the split orphan is uncovered
     st = forced_state(g, params, "da", [(0, 2), (1, 3)], vd_bound=8.0)
-    assert st.aux_sources == [] or all(
-        aux.d[7] == INF for aux in st.aux_sources
-    )
-    aux_before = len(st.aux_sources)
+    assert [aux.source for aux in st.aux_sources] == [0]
     eff = apply_batch(g, [EdgeEvent(5, 6, "delete")])
     update_combined(g, st, eff)
-    assert len(st.aux_sources) > aux_before
-    covered = [False] * g.n
-    for rec in st.samples:
-        for v in range(g.n):
-            if rec.sssp.d[v] != INF:
-                covered[v] = True
-    for aux in st.aux_sources:
-        for v in range(g.n):
-            if aux.d[v] != INF:
-                covered[v] = True
-    assert all(covered)
+    # the split-off half {6, 7} gets its own search, rooted at its lowest node
+    assert [aux.source for aux in st.aux_sources] == [0, 6]
+    assert [aux.reach for aux in st.aux_sources] == [6, 2]
+    assert all(v == 1 for v in st.vis.vis)
+    assert st.vd_bound >= exact_vertex_diameter(g)
 
 
 def test_combined_merge_drops_annexed_aux_source():
-    # the sample search from 0 annexes the auxiliary search rooted at 2
+    # the tracker search from 0 annexes the one rooted at 2
     g = DynGraph(4)
     g.insert_edge(0, 1)
     g.insert_edge(2, 3)
     params = SamplingParams(0.5, 0.5, seed=3)
     st = forced_state(g, params, "da", [(0, 1)])
-    assert [aux.source for aux in st.aux_sources] == [2]
+    assert [aux.source for aux in st.aux_sources] == [0, 2]
     eff = apply_batch(g, [EdgeEvent(1, 2)])
     update_combined(g, st, eff)
-    assert st.aux_sources == []
+    assert [aux.source for aux in st.aux_sources] == [0]
+    assert all(v == 1 for v in st.vis.vis)
+
+
+def _combined_stream(rng, mode, n):
+    """A random graph for mode and a list of five random mixed batches for
+    it, weight changes included on weighted graphs."""
+    g = random_graph(rng, n, avg_deg=1.6, weighted=mode == "daw")
+    batches = []
+    shadow = g.copy()
+    for _ in range(5):
+        events = random_valid_batch(rng, shadow, rng.choice((1, 3, 6)))
+        apply_batch(shadow, Batch(list(events)))
+        batches.append(events)
+    return g, batches
+
+
+def test_combined_bound_does_not_depend_on_sampling_seed():
+    rng = random.Random(2024)
+    for trial in range(40):
+        mode = ("da", "daw")[trial % 2]
+        g0, batches = _combined_stream(rng, mode, rng.randrange(12, 41))
+        runs = []
+        for seed in (1, 2):
+            g = g0.copy()
+            st = init_bc(g, SamplingParams(0.3, 0.3, seed=seed), mode)
+            bounds = [st.vd_bound]
+            for events in batches:
+                update_bc(g, st, apply_batch(g, Batch(list(events))))
+                bounds.append(st.vd_bound)
+            runs.append(bounds)
+        assert runs[0] == runs[1], (trial, mode)
+
+
+def test_combined_tracker_invariants_through_update_bc():
+    rng = random.Random(4242)
+    batches_seen = 0
+    for trial in range(80):
+        mode = ("da", "daw")[trial % 2]
+        g, batches = _combined_stream(rng, mode, rng.randrange(12, 41))
+        params = SamplingParams(0.3, 0.3, seed=trial)
+        st = init_bc(g, params, mode)
+        assert st.vd_bound == vd_upper_bound(g).value
+        for events in batches:
+            update_bc(g, st, apply_batch(g, Batch(list(events))))
+            batches_seen += 1
+            labels, count = connected_components(g)
+            assert sorted(labels[aux.source] for aux in st.aux_sources) == list(
+                range(count)
+            )
+            assert all(v == 1 for v in st.vis.vis)
+            assert st.vd_bound >= exact_vertex_diameter(g)
+    assert batches_seen == 400
 
 
 def test_combined_matches_fully_dynamic_on_encoded_graph():

@@ -11,9 +11,11 @@ from dynbc import (
     brandes_exact,
     build_scenario,
     generate,
+    init_bc,
     load_edge_list,
     rank_error,
     run_experiment,
+    update_bc,
 )
 from dynbc.bench import ScenarioSpec
 from dynbc.cli import main as cli_main
@@ -184,6 +186,22 @@ def test_run_experiment_rows_and_determinism():
         if k not in ("t_dynamic", "t_static", "speedup")
     }
     assert [strip(r) for r in reports] == [strip(r) for r in again]
+
+
+def test_run_experiment_reports_initial_r_and_final_bound():
+    # on this input the churn lifts the bound and r grows; the row shows it
+    g = generate("dorogovtsev-mendes", n=40, seed=11)
+    spec = ScenarioSpec("random", 8, [4], runs=1, seed=3)
+    params = SamplingParams(0.3, 0.3, seed=1)
+    (rep,) = run_experiment(g, spec, params, "da")
+    assert rep.r_initial < rep.r_final
+    initial, batches = build_scenario(g, spec, 4)
+    g_run = initial.copy()
+    st = init_bc(g_run, params, "da")
+    assert rep.r_initial == st.r
+    for batch in batches:
+        update_bc(g_run, st, apply_batch(g_run, Batch(batch)))
+    assert (rep.r_final, rep.vd_bound_final) == (st.r, st.vd_bound)
 
 
 def test_run_experiment_exact_threshold_disables_errors():
