@@ -1,9 +1,10 @@
 """Approximate betweenness scores and their dynamic maintenance.
 
 A score state holds r sampled (pair, search, path) triples; each node's
-score is the fraction of sampled paths it is internal to. The static runner
-draws the samples once. The update entry points keep the samples valid
-across batches of edge events. Every mode runs the same round: each
+score is the fraction of sampled paths it is internal to. A dynamic state's
+search is a plain full ``ExtendedSSSP`` (distances and path counts only).
+The static runner draws the samples once and keeps only the paths. The
+update entry points keep the samples valid across batches of edge events. Every mode runs the same round: each
 sample's search is repaired, its path is replaced when the batch was not
 purely incremental or the target's distance dropped or path count changed
 (for a purely incremental batch this provably preserves the per-iteration
@@ -19,10 +20,10 @@ step differs:
   renormalization, whenever the required sample count grows.
 * ``da`` / ``daw`` (combined, undirected only): like dad/dadw, but the
   bound comes from the fully dynamic ``dynvd`` tracker instead of a static
-  recomputation: one estimator search per connected component, kept in
+  recomputation: one ``DynSSSP`` per connected component, kept in
   ``aux_sources`` with its own ``vis`` counters, refreshed after every
-  batch. The sample searches do no diameter bookkeeping, so the bound, and
-  with it r, does not depend on which sources were sampled.
+  batch. The bound, and with it r, does not depend on which sources were
+  sampled.
 
 Per-sample updates are independent given split random streams (stream
 coordinates are (seed, domain, [round,] index)), so identical inputs give
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from .dynsssp import DynSSSP, VisCounters, local_vd_estimate, update_sssp
 from .dynvd import cover, refresh_sources
 from .errors import DeletionInIncrementalMode, InvalidParams
-from .exact import compute_extended_sssp
+from .exact import ExtendedSSSP, compute_extended_sssp
 from .graph import DELETE, INSERT, dist_lt
 from .rng import stream
 from .sampling import SampledPath, sample_pair, sample_path, sample_size
@@ -53,7 +54,7 @@ _RESAMPLE_DOMAIN = 2
 class SampleRecord:
     s: int
     t: int
-    sssp: DynSSSP | None
+    sssp: ExtendedSSSP | None  # None in the static runner's state
     path: SampledPath
 
 
@@ -89,12 +90,12 @@ def recount_scores(state):
     return [c / r for c in counts]
 
 
-def _add_samples(g, state, r_new, truncate=False):
+def _add_samples(g, state, r_new):
     """Draw samples len(samples)..r_new-1, credit them at 1/r_new and set
     the sample count to r_new. Existing mass is rescaled to the new rate
-    first. A dynamic state keeps each search so later updates maintain it;
-    a static one stores only the paths, and truncate stops each search at
-    its target."""
+    first. A dynamic state keeps each full search so later updates repair
+    it; the static runner stops each search at its target, which is all the
+    path draw reads, and stores only the path."""
     keep_state = state.mode != "static"
     params = state.params
     samples = state.samples
@@ -106,10 +107,7 @@ def _add_samples(g, state, r_new, truncate=False):
     for idx in range(len(samples), r_new):
         rng = stream(params.seed, _SAMPLE_DOMAIN, idx)
         s, t = sample_pair(g.n, rng)
-        if keep_state:
-            sssp = DynSSSP.initial(g, s)
-        else:
-            sssp = compute_extended_sssp(g, s, stop_at=t if truncate else None)
+        sssp = compute_extended_sssp(g, s, stop_at=None if keep_state else t)
         path = sample_path(g, sssp, t, rng)
         samples.append(SampleRecord(s, t, sssp if keep_state else None, path))
         for v in path.internal:
@@ -117,18 +115,17 @@ def _add_samples(g, state, r_new, truncate=False):
     state.r = r_new
 
 
-def approximate_bc(g, params, truncate=True):
-    """Static sampling approximation of betweenness.
-
-    Searches stop at the sampled target by default, which is the cheap
-    variant used for from-scratch recomputation; pass truncate=False to keep
-    full searches. Scores are identical either way for a given seed.
+def approximate_bc(g, params):
+    """Static sampling approximation of betweenness, the from-scratch
+    recomputation. Each search stops at its sampled target; for a given
+    seed the scores equal those of ``init_bc`` in ``ia``/``iaw``, whose
+    searches run in full.
     """
     if g.n < 2:
         raise InvalidParams("need at least two nodes")
     bound = vd_upper_bound(g).value
     state = BCState(g.n, "static", params, [0.0] * g.n, 0, [], vd_bound=bound)
-    _add_samples(g, state, sample_size(bound, params), truncate)
+    _add_samples(g, state, sample_size(bound, params))
     return state
 
 

@@ -15,6 +15,7 @@ deterministic for a given seed.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field, asdict
@@ -116,8 +117,10 @@ def load_edge_list(path, fmt="plain", directed=False, weighted=False):
                     t = int(float(parts[3]))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if w <= 0:
-                raise NonPositiveWeight(f"{path}:{lineno}: weight {w} not positive")
+            if not (w > 0 and math.isfinite(w)):
+                raise NonPositiveWeight(
+                    f"{path}:{lineno}: weight {w} not positive and finite"
+                )
             if u == v:
                 continue
             for raw_id in (u, v):

@@ -5,10 +5,12 @@ events has already been applied to the graph, touching only the neighbourhood
 of nodes whose values can actually change. The weighted routine settles
 candidate distances through a priority queue; the unweighted one replaces the
 queue with one plain list per distance level, walked level by level in
-insertion order, and node colors. Both can additionally maintain shared
-reachability counters (``vis``) and the ingredients of a per-component
-vertex-diameter estimate: the two largest distances seen from the source and
-the smallest edge weight in the source's component.
+insertion order, and node colors. Without ``vis`` they repair only d and
+sigma, which is all a score sample's plain ``ExtendedSSSP`` holds. With the
+diameter tracker's shared reachability counters (``vis``) the state is a
+``DynSSSP``, and they also keep its reach, the counters and the ingredients
+of its per-component vertex-diameter estimate: the two largest distances
+seen from the source and the smallest edge weight in the source's component.
 
 Rules the update loops rely on:
 
@@ -66,21 +68,23 @@ class AffectedSet:
 
 
 class DynSSSP:
-    """An updatable extended SSSP rooted at one source.
+    """The diameter tracker's search: an extended SSSP rooted at one source,
+    counted in the tracker's shared ``VisCounters``.
 
-    With ``track_vd`` the state also carries d1/d2 (largest and
-    second-largest finite distance, over distinct nodes) and the minimum
-    edge weight of the source's component. d1/d2 are maintained as running
-    maxima: they never miss an increase, and after decreases they may lag
-    high, which keeps the derived diameter estimate a valid upper bound.
-    The minimum weight is re-scanned lazily (see local_vd_estimate) after
-    any event that could have lowered or removed it.
+    Besides d and sigma it carries reach (nodes at finite distance), d1/d2
+    (largest and second-largest finite distance, over distinct nodes) and
+    the minimum edge weight of the source's component. d1/d2 are maintained
+    as running maxima: they never miss an increase, and after decreases
+    they may lag high, which keeps the derived diameter estimate a valid
+    upper bound. The minimum weight is re-scanned lazily (see
+    local_vd_estimate) after any event that could have lowered or removed
+    it. Every repair must pass the same counters (``update_sssp(g, st,
+    events, vis)``).
     """
 
     __slots__ = (
         "source",
         "weighted",
-        "track_vd",
         "d",
         "sigma",
         "reach",
@@ -92,10 +96,9 @@ class DynSSSP:
         "vd_dirty",
     )
 
-    def __init__(self, source, weighted, track_vd, d, sigma):
+    def __init__(self, source, weighted, d, sigma):
         self.source = source
         self.weighted = weighted
-        self.track_vd = track_vd
         self.d = d
         self.sigma = sigma
         self.reach = 0
@@ -107,24 +110,21 @@ class DynSSSP:
         self.vd_dirty = False
 
     @classmethod
-    def initial(cls, g, source, track_vd=False, vis=None):
-        """Fresh full search from source; increments vis over the nodes it
-        reaches when counters are supplied. One walk over the distances
-        counts reach, feeds the top-two tracker in node order and bumps
-        vis."""
+    def initial(cls, g, source, vis):
+        """Fresh full search from source, counted in vis. One walk over the
+        distances counts reach, feeds the top-two tracker in node order and
+        bumps vis."""
         base = compute_extended_sssp(g, source)
-        st = cls(source, g.weighted, track_vd, base.d, base.sigma)
-        counters = vis.vis if vis is not None else None
+        st = cls(source, g.weighted, base.d, base.sigma)
+        counters = vis.vis
         reach = 0
         for v, dv in enumerate(base.d):
             if dv != INF:
                 reach += 1
-                if track_vd:
-                    st._observe(v, dv)
-                if counters is not None:
-                    counters[v] += 1
+                st._observe(v, dv)
+                counters[v] += 1
         st.reach = reach
-        if track_vd and g.weighted:
+        if g.weighted:
             st._rescan_omega(g)
         return st
 
@@ -163,8 +163,6 @@ def local_vd_estimate(g, state):
     previously unscanned edges) the minimum weight is recomputed here first,
     which restores both soundness and tightness of the divisor.
     """
-    if not state.track_vd:
-        raise InvalidParams("state was built without track_vd")
     if state.reach <= 1:
         return 1.0
     if state.weighted:
@@ -175,7 +173,8 @@ def local_vd_estimate(g, state):
 
 
 def update_sssp(g, state, events, vis=None):
-    """Dispatch to the weighted or unweighted update for g."""
+    """Dispatch to the weighted or unweighted update for g. Without ``vis``
+    any search with source, weighted, d and sigma will do."""
     if g.weighted != state.weighted:
         raise InconsistentState("state and graph disagree about weighting")
     if g.weighted:
@@ -197,8 +196,8 @@ def update_sssp_w(g, state, events, vis=None):
     sigma = state.sigma
     out_adj = g._adj
     in_adj = g._radj
-    track = state.track_vd
-    counters = vis.vis if vis is not None else None
+    track = vis is not None
+    counters = vis.vis if track else None
 
     heap = []
     key = {}
@@ -263,15 +262,12 @@ def update_sssp_w(g, state, events, vis=None):
                 old_sig[w] = sigma[w]
             prev_d = d[w]
             prev_sig = sigma[w]
-            was_inf = prev_d == INF
-            if was_inf:
+            if track and prev_d == INF:
                 state.reach += 1
-                if track:
-                    # a newly annexed region brings edges the omega scan
-                    # has never seen
-                    state.vd_dirty = True
-                if counters is not None:
-                    counters[w] += 1
+                counters[w] += 1
+                # a newly annexed region brings edges the omega scan has
+                # never seen
+                state.vd_dirty = True
             nd = con
             s = 0
             for z, wt in in_adj[w].items():
@@ -300,8 +296,8 @@ def update_sssp_w(g, state, events, vis=None):
                 prev = d[w]
                 d[w] = INF
                 sigma[w] = 0
-                state.reach -= 1
-                if counters is not None:
+                if track:
+                    state.reach -= 1
                     counters[w] -= 1
                     if counters[w] == 0:
                         vis.U.append(w)
@@ -341,8 +337,8 @@ def update_sssp_u(g, state, events, vis=None):
     sigma = state.sigma
     out_adj = g._adj
     in_adj = g._radj
-    track = state.track_vd
-    counters = vis.vis if vis is not None else None
+    track = vis is not None
+    counters = vis.vis if track else None
     n = g.n
 
     buckets = {}
@@ -394,10 +390,9 @@ def update_sssp_u(g, state, events, vis=None):
                     old_sig[w] = sigma[w]
                 prev_d = d[w]
                 prev_sig = sigma[w]
-                if prev_d == INF:
+                if track and prev_d == INF:
                     state.reach += 1
-                    if counters is not None:
-                        counters[w] += 1
+                    counters[w] += 1
                 s = 0
                 for z in in_adj[w]:
                     touched += 1
@@ -422,8 +417,8 @@ def update_sssp_u(g, state, events, vis=None):
                     prev = d[w]
                     d[w] = INF
                     sigma[w] = 0
-                    state.reach -= 1
-                    if counters is not None:
+                    if track:
+                        state.reach -= 1
                         counters[w] -= 1
                         if counters[w] == 0:
                             vis.U.append(w)

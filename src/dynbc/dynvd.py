@@ -33,7 +33,7 @@ def cover(g, vis, candidates):
     fresh = []
     for v in candidates:
         if vis.vis[v] == 0:
-            fresh.append(DynSSSP.initial(g, v, track_vd=True, vis=vis))
+            fresh.append(DynSSSP.initial(g, v, vis))
     return fresh
 
 

@@ -3,7 +3,9 @@ on-demand predecessor queries, and the full Brandes betweenness oracle.
 
 Everything here is a pure function over an immutable graph snapshot, so
 running many sources concurrently is safe. Path counts are plain Python
-integers (arbitrary precision), so they cannot overflow.
+integers (arbitrary precision), so they cannot overflow. The search result,
+``ExtendedSSSP``, is also what each sample of a dynamic score state keeps;
+``dynsssp`` repairs it in place after each batch.
 """
 
 from __future__ import annotations
@@ -16,16 +18,18 @@ from .errors import InvalidParams, Unreachable
 from .graph import INF, dist_eq, dist_lt
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtendedSSSP:
     """Distances and shortest-path counts from one source.
 
     Invariants: d[source] = 0 and sigma[source] = 1; sigma[v] is the sum of
     sigma over the predecessors of v; sigma[v] = 0 exactly when v is
-    unreachable (and not the source).
+    unreachable (and not the source). ``weighted`` records which graph kind
+    the search ran on; ``update_sssp`` checks it before a repair.
     """
 
     source: int
+    weighted: bool
     d: list
     sigma: list
 
@@ -60,7 +64,7 @@ def compute_extended_sssp(g, s, stop_at=None):
                     dq.append(v)
                 elif dv == du1:
                     sigma[v] += su
-        return ExtendedSSSP(s, d, sigma)
+        return ExtendedSSSP(s, False, d, sigma)
 
     d[s] = 0.0
     settled = bytearray(n)
@@ -84,7 +88,7 @@ def compute_extended_sssp(g, s, stop_at=None):
                 heapq.heappush(heap, (c, v))
             elif dist_eq(c, dv):
                 sigma[v] += su
-    return ExtendedSSSP(s, d, sigma)
+    return ExtendedSSSP(s, True, d, sigma)
 
 
 def predecessors(g, state, v):

@@ -1,7 +1,7 @@
 """Mutable simple graphs with batched edge updates.
 
 Nodes are dense integers in [0, n) and the node set is fixed when a graph is
-built. Edges carry positive weights (pinned to 1 on unweighted graphs).
+built. Edges carry positive finite weights (pinned to 1 on unweighted graphs).
 Batches of edge events are validated and canonicalized before they touch the
 adjacency structure, so an update algorithm downstream sees at most one
 effective event per node pair.
@@ -14,6 +14,7 @@ an oracle.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -54,7 +55,7 @@ def dist_lt(a, b):
 @dataclass
 class EdgeEvent:
     """One edge operation. Deletes carry no weight; the other ops require a
-    positive one (defaulting to 1). ``old_weight`` is filled in by
+    positive finite one (defaulting to 1). ``old_weight`` is filled in by
     apply_batch on effective delete/set-weight events so that consumers can
     classify the change without re-reading the pre-batch graph."""
 
@@ -76,8 +77,8 @@ class EdgeEvent:
         else:
             if self.weight is None:
                 self.weight = 1.0
-            if not self.weight > 0:
-                raise InvalidParams(f"{self.op} weight must be positive")
+            if not (self.weight > 0 and math.isfinite(self.weight)):
+                raise InvalidParams(f"{self.op} weight must be positive and finite")
         if self.timestamp is not None and self.timestamp < 0:
             raise InvalidParams("timestamp must be non-negative")
 
@@ -181,8 +182,8 @@ class DynGraph:
             raise InvalidParams("self-loops are rejected")
         if v in self._adj[u]:
             raise DuplicateInsert(f"edge ({u}, {v}) already present")
-        if not w > 0:
-            raise InvalidParams("edge weight must be positive")
+        if not (w > 0 and math.isfinite(w)):
+            raise InvalidParams("edge weight must be positive and finite")
         if not self.weighted and w != 1.0:
             raise InvalidParams("unweighted graphs carry unit weights")
         self._adj[u][v] = w
@@ -211,8 +212,8 @@ class DynGraph:
         self._check_node(v)
         if v not in self._adj[u]:
             raise MissingEdge(f"edge ({u}, {v}) not present")
-        if not w > 0:
-            raise InvalidParams("edge weight must be positive")
+        if not (w > 0 and math.isfinite(w)):
+            raise InvalidParams("edge weight must be positive and finite")
         self._adj[u][v] = w
         if self.directed:
             self._radj[v][u] = w

@@ -2,12 +2,12 @@
 
 The vertex diameter (the node count of the hop-richest shortest path) feeds
 the sample-size formula, so only an upper bound is needed and it must be
-cheap: each bound here costs one or two truncated searches per component.
-Sources are always the lowest-index node of their component, which keeps the
-values deterministic. Undirected bounds find those sources with the searches
-themselves: scanning nodes in index order, each node that no earlier search
-reached roots the next one. Weighted bounds may be fractional; consumers
-round up before use.
+cheap: each bound here costs one or two searches per component, each kept
+inside it. Sources are always the lowest-index node of their component,
+which keeps the values deterministic. Undirected bounds find those sources
+with the searches themselves: scanning nodes in index order, each node that
+no earlier search reached roots the next one. Weighted bounds may be
+fractional; consumers round up before use.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def vd_ub_strongly_connected(g, s):
 
 def _scc_local_bounds(g, cond):
     """Per-SCC bound: forward and backward searches from the lowest-index
-    member, truncated at the SCC boundary. Single-node SCCs score 1."""
+    member, stopped at the SCC boundary. Single-node SCCs score 1."""
     search = _dijkstra_dists if g.weighted else _bfs_dists
     bounds = []
     for members in cond.members:

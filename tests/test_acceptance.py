@@ -17,7 +17,6 @@ import pytest
 from dynbc import (
     Batch,
     DynGraph,
-    DynSSSP,
     EdgeEvent,
     INF,
     SamplingParams,
@@ -98,7 +97,7 @@ def test_criterion_1_dynamic_sssp_oracle_equivalence():
             directed = trial % 2 == 1
             g = random_graph(rng, n, avg_deg=2.2, directed=directed, weighted=weighted)
             src = rng.randrange(n)
-            st = DynSSSP.initial(g, src)
+            st = compute_extended_sssp(g, src)
             events = random_valid_batch(rng, g, batch_sizes[trial % 4])
             eff = apply_batch(g, Batch(events))
             update_sssp(g, st, eff)

@@ -9,6 +9,7 @@ from dynbc import (
     DynGraph,
     DynSSSP,
     EdgeEvent,
+    ExtendedSSSP,
     INF,
     SamplingParams,
     VisCounters,
@@ -47,7 +48,7 @@ def forced_state(g, params, mode, pairs, vd_bound=None):
     vals = [0.0] * g.n
     samples = []
     for i, (s, t) in enumerate(pairs):
-        sssp = DynSSSP.initial(g, s)
+        sssp = compute_extended_sssp(g, s)
         rng = stream(params.seed, _SAMPLE_DOMAIN, i)
         path = sample_path(g, sssp, t, rng)
         samples.append(SampleRecord(s, t, sssp, path))
@@ -72,9 +73,6 @@ def test_init_matches_static_runner():
     g = generate("dorogovtsev-mendes", n=60, seed=5)
     params = SamplingParams(0.2, 0.1, seed=31)
     assert scores(approximate_bc(g, params)) == scores(init_bc(g, params, "ia"))
-    assert scores(approximate_bc(g, params, truncate=False)) == scores(
-        init_bc(g, params, "ia")
-    )
     gw = generate("dorogovtsev-mendes", n=60, seed=5, weighted=True)
     assert scores(approximate_bc(gw, params)) == scores(init_bc(gw, params, "iaw"))
 
@@ -95,10 +93,15 @@ def test_init_mode_validation():
 def test_init_combined_connected_graph_needs_no_aux():
     # a connected graph needs one tracker search and nothing beyond it
     g = generate("dorogovtsev-mendes", n=40, seed=2)
-    st = init_bc(g, SamplingParams(0.3, 0.3, seed=1), "da")
+    params = SamplingParams(0.3, 0.3, seed=1)
+    st = init_bc(g, params, "da")
     assert [aux.source for aux in st.aux_sources] == [0]
     assert all(v == 1 for v in st.vis.vis)
-    assert all(not rec.sssp.track_vd for rec in st.samples)
+    # samples keep plain searches; only the tracker's are DynSSSPs
+    assert all(type(rec.sssp) is ExtendedSSSP for rec in st.samples)
+    assert all(type(aux) is DynSSSP for aux in st.aux_sources)
+    static = approximate_bc(g, params)
+    assert static.samples and all(rec.sssp is None for rec in static.samples)
 
 
 def test_init_combined_uncovered_component_gets_aux_source():

@@ -1,5 +1,8 @@
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +70,14 @@ def test_load_errors(tmp_path):
     neg = write(tmp_path, "neg.txt", "0 1 -2\n")
     with pytest.raises(NonPositiveWeight):
         load_edge_list(neg, weighted=True)
+
+
+def test_load_rejects_non_finite_weights(tmp_path):
+    for word in ("inf", "nan"):
+        path = write(tmp_path, f"{word}.txt", f"0 1 1\n1 2 {word}\n")
+        with pytest.raises(NonPositiveWeight) as err:
+            load_edge_list(path, weighted=True)
+        assert ":2" in str(err.value)
 
 
 def test_scenario_spec_validation():
@@ -305,3 +316,13 @@ def test_cli_generate_exact_vd_and_run(tmp_path):
     lines = open(run_out).read().strip().splitlines()
     assert len(lines) == 3  # header plus two runs
     assert lines[0].startswith("scenario,mode,batch_size,run")
+
+
+def test_perfbench_selftest_passes():
+    # the benchmark's tracer patches names inside the package; its self-test
+    # fails when a change to the package breaks one of those hooks
+    selftest = Path(__file__).resolve().parent.parent / "perfbench" / "selftest.py"
+    done = subprocess.run(
+        [sys.executable, str(selftest)], capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -33,7 +33,7 @@ def assert_matches_fresh(g, state):
 def test_empty_batch_no_op():
     g = DynGraph(4, weighted=True)
     g.insert_edge(0, 1, 1.0)
-    st = DynSSSP.initial(g, 0)
+    st = compute_extended_sssp(g, 0)
     before_d = list(st.d)
     before_sig = list(st.sigma)
     aff = update_sssp_w(g, st, [])
@@ -45,7 +45,7 @@ def test_weighted_insert_shortcut():
     g = DynGraph(3, weighted=True)
     g.insert_edge(0, 1, 1.0)
     g.insert_edge(1, 2, 2.0)
-    st = DynSSSP.initial(g, 0)
+    st = compute_extended_sssp(g, 0)
     assert st.d[2] == 3.0
     eff = apply_batch(g, [EdgeEvent(0, 2, "insert", 1.0)])
     aff = update_sssp_w(g, st, eff)
@@ -58,7 +58,7 @@ def test_delete_only_edge_marks_unreachable():
     g = DynGraph(2)
     g.insert_edge(0, 1)
     vis = VisCounters.zeros(2)
-    st = DynSSSP.initial(g, 0, vis=vis)
+    st = DynSSSP.initial(g, 0, vis)
     assert vis.vis == [1, 1]
     eff = apply_batch(g, [EdgeEvent(0, 1, "delete")])
     update_sssp_u(g, st, eff, vis)
@@ -71,7 +71,7 @@ def test_unweighted_chord_matches_bfs():
     g = DynGraph(4)
     for u, v in ((0, 1), (1, 2), (2, 3), (3, 0)):
         g.insert_edge(u, v)
-    st = DynSSSP.initial(g, 0)
+    st = compute_extended_sssp(g, 0)
     assert st.d[2] == 2 and st.sigma[2] == 2
     eff = apply_batch(g, [EdgeEvent(0, 2)])
     update_sssp_u(g, st, eff)
@@ -83,7 +83,7 @@ def test_batch_outside_component_leaves_state_alone():
     g = DynGraph(6)
     g.insert_edge(0, 1)
     g.insert_edge(3, 4)
-    st = DynSSSP.initial(g, 0)
+    st = compute_extended_sssp(g, 0)
     before_d = list(st.d)
     before_sig = list(st.sigma)
     eff = apply_batch(g, [EdgeEvent(4, 5), EdgeEvent(3, 4, "delete")])
@@ -95,11 +95,11 @@ def test_batch_outside_component_leaves_state_alone():
 def test_wrong_updater_rejected():
     g = DynGraph(3, weighted=True)
     g.insert_edge(0, 1, 1.0)
-    st = DynSSSP.initial(g, 0)
+    st = compute_extended_sssp(g, 0)
     with pytest.raises(InvalidParams):
         update_sssp_u(g, st, [])
     gu = DynGraph(3)
-    stu = DynSSSP.initial(gu, 0)
+    stu = compute_extended_sssp(gu, 0)
     with pytest.raises(InvalidParams):
         update_sssp_w(gu, stu, [])
 
@@ -109,7 +109,7 @@ def test_update_rejects_inconsistent_state():
     g = DynGraph(3)
     for u, v in ((0, 1), (1, 2), (0, 2)):
         g.insert_edge(u, v)
-    st = DynSSSP.initial(g, 0)
+    st = compute_extended_sssp(g, 0)
     st.d[2] = 2
     eff = apply_batch(g, [EdgeEvent(1, 2, "delete")])
     with pytest.raises(InconsistentState, match="below best incoming level 1"):
@@ -118,7 +118,7 @@ def test_update_rejects_inconsistent_state():
     g = DynGraph(3)
     for u, v in ((0, 1), (1, 2)):
         g.insert_edge(u, v)
-    st = DynSSSP.initial(g, 0)
+    st = compute_extended_sssp(g, 0)
     st.d[1] = 7
     st.d[2] = 8
     eff = apply_batch(g, [EdgeEvent(1, 2, "delete")])
@@ -135,7 +135,7 @@ def test_oracle_equivalence_randomized():
             directed = rng.random() < 0.5
             g = random_graph(rng, n, avg_deg=2.2, directed=directed, weighted=weighted)
             src = rng.randrange(n)
-            st = DynSSSP.initial(g, src)
+            st = compute_extended_sssp(g, src)
             size = rng.choice((1, 4, 16))
             events = random_valid_batch(rng, g, size)
             eff = apply_batch(g, Batch(events))
@@ -148,7 +148,7 @@ def test_non_affected_nodes_keep_bit_identical_values():
     for _ in range(200):
         n = rng.randrange(10, 60)
         g = random_graph(rng, n, avg_deg=2.0, weighted=True)
-        st = DynSSSP.initial(g, 0)
+        st = compute_extended_sssp(g, 0)
         before_d = list(st.d)
         before_sig = list(st.sigma)
         eff = apply_batch(g, Batch(random_valid_batch(rng, g, 6)))
@@ -161,14 +161,16 @@ def test_non_affected_nodes_keep_bit_identical_values():
 
 def test_vis_recount_invariant():
     rng = random.Random(9)
-    for _ in range(100):
+    for trial in range(200):
         n = rng.randrange(8, 40)
-        g = random_graph(rng, n, avg_deg=1.5)
+        g = random_graph(rng, n, avg_deg=1.5, weighted=trial % 2 == 1)
         vis = VisCounters.zeros(n)
-        sources = [DynSSSP.initial(g, s, vis=vis) for s in (0, n // 2, n - 1)]
+        sources = [DynSSSP.initial(g, s, vis) for s in (0, n // 2, n - 1)]
         eff = apply_batch(g, Batch(random_valid_batch(rng, g, 5)))
         for st in sources:
             update_sssp(g, st, eff, vis)
+            assert_matches_fresh(g, st)
+            assert st.reach == sum(1 for dv in st.d if dv != INF)
         for v in range(n):
             expect = sum(1 for st in sources if st.d[v] != INF)
             assert vis.vis[v] == expect
@@ -178,18 +180,18 @@ def test_local_vd_estimate_arithmetic():
     g = DynGraph(3)
     g.insert_edge(0, 1)
     g.insert_edge(1, 2)
-    st = DynSSSP.initial(g, 0, track_vd=True)
+    st = DynSSSP.initial(g, 0, VisCounters.zeros(3))
     # d1 = 2, d2 = 1, unit weights
     assert local_vd_estimate(g, st) == 4.0
 
     gw = DynGraph(3, weighted=True)
     gw.insert_edge(0, 1, 3.0)
     gw.insert_edge(0, 2, 2.0)
-    stw = DynSSSP.initial(gw, 0, track_vd=True)
+    stw = DynSSSP.initial(gw, 0, VisCounters.zeros(3))
     # d1 = 3, d2 = 2, omega = 2
     assert local_vd_estimate(gw, stw) == 1.0 + 5.0 / 2.0
 
-    lone = DynSSSP.initial(DynGraph(2), 0, track_vd=True)
+    lone = DynSSSP.initial(DynGraph(2), 0, VisCounters.zeros(2))
     assert local_vd_estimate(DynGraph(2), lone) == 1.0
 
 
@@ -199,7 +201,7 @@ def test_estimate_explicit_values():
     g.insert_edge(0, 1, 3.0)
     g.insert_edge(0, 2, 2.0)
     g.set_weight(0, 2, 2.0)
-    st = DynSSSP.initial(g, 0, track_vd=True)
+    st = DynSSSP.initial(g, 0, VisCounters.zeros(3))
     st.omega_min = 0.5  # pretend a cheaper edge exists elsewhere in the component
     assert local_vd_estimate(g, st) == 11.0
 
@@ -210,10 +212,11 @@ def test_estimate_stays_above_component_vd_under_updates():
         for _ in range(120):
             n = rng.randrange(6, 40)
             g = random_graph(rng, n, avg_deg=1.8, weighted=weighted)
-            st = DynSSSP.initial(g, 0, track_vd=True)
+            vis = VisCounters.zeros(n)
+            st = DynSSSP.initial(g, 0, vis)
             for _ in range(3):
                 eff = apply_batch(g, Batch(random_valid_batch(rng, g, 4)))
-                update_sssp(g, st, eff)
+                update_sssp(g, st, eff, vis)
                 est = local_vd_estimate(g, st)
                 comp = _component_subgraph(g, st)
                 assert est >= exact_vertex_diameter(comp) - 1e-9

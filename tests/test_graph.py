@@ -36,6 +36,32 @@ def test_edge_event_validation():
     assert ev.weight == 1.0
 
 
+def test_edge_event_rejects_non_finite_weights():
+    for op in ("insert", "set-weight"):
+        for w in (float("inf"), float("nan")):
+            with pytest.raises(InvalidParams):
+                EdgeEvent(0, 1, op, w)
+
+
+def test_insert_edge_rejects_non_finite_weight():
+    # an infinite edge would leave its far end at d = inf with sigma = 1
+    g = DynGraph(3, weighted=True)
+    g.insert_edge(0, 1, 1.0)
+    for w in (float("inf"), float("nan")):
+        with pytest.raises(InvalidParams):
+            g.insert_edge(1, 2, w)
+    assert not g.has_edge(1, 2) and g.m == 1
+
+
+def test_set_weight_rejects_non_finite_weight():
+    g = DynGraph(2, weighted=True)
+    g.insert_edge(0, 1, 2.0)
+    for w in (float("inf"), float("nan")):
+        with pytest.raises(InvalidParams):
+            g.set_weight(0, 1, w)
+    assert g.edge_weight(0, 1) == 2.0
+
+
 def test_graph_primitives():
     g = DynGraph(3)
     g.insert_edge(0, 1)
