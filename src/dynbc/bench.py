@@ -115,7 +115,9 @@ def load_edge_list(path, fmt="plain", directed=False, weighted=False):
                     u, v = parts[0], parts[1]
                     w = float(parts[2])
                     t = int(float(parts[3]))
-            except ValueError as exc:
+                    if t < 0:
+                        raise ValueError(f"negative timestamp {t}")
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             if not (w > 0 and math.isfinite(w)):
                 raise NonPositiveWeight(

@@ -5,12 +5,12 @@ events has already been applied to the graph, touching only the neighbourhood
 of nodes whose values can actually change. The weighted routine settles
 candidate distances through a priority queue; the unweighted one replaces the
 queue with one plain list per distance level, walked level by level in
-insertion order, and node colors. Without ``vis`` they repair only d and
-sigma, which is all a score sample's plain ``ExtendedSSSP`` holds. With the
-diameter tracker's shared reachability counters (``vis``) the state is a
-``DynSSSP``, and they also keep its reach, the counters and the ingredients
-of its per-component vertex-diameter estimate: the two largest distances
-seen from the source and the smallest edge weight in the source's component.
+insertion order, and node colors. Both repair only d and sigma, all a score
+sample's plain ``ExtendedSSSP`` holds, and record the pre-repair distance of
+every node they touch. From that record the diameter tracker's ``DynSSSP``
+updates its reach, the tracker's shared reachability counters (``vis``) and
+its vertex-diameter ingredients: the two largest distances seen from the
+source and the smallest edge weight in the source's component.
 
 Rules the update loops rely on:
 
@@ -26,9 +26,7 @@ Rules the update loops rely on:
   proportional to the affected neighbourhood instead of flooding the whole
   downstream shortest-path DAG.
 
-One state is updated by one execution context at a time. Distinct source
-states may be updated concurrently only if the shared VisCounters is made
-atomic; the reference semantics used here are sequential over sources.
+One state is updated by one execution context at a time.
 """
 
 from __future__ import annotations
@@ -60,11 +58,14 @@ class VisCounters:
 
 @dataclass
 class AffectedSet:
-    """Nodes whose distance or path count changed, plus an edge-scan count
-    kept for instrumentation."""
+    """Nodes whose distance or path count changed, an edge-scan count kept
+    for instrumentation, and the pre-repair distance of every node the
+    repair touched, in settling order (a node that only lost its distance
+    stays where it was first touched)."""
 
     nodes: set[int] = field(default_factory=set)
     touched_edges: int = 0
+    old_d: dict[int, float] = field(default_factory=dict)
 
 
 class DynSSSP:
@@ -79,7 +80,7 @@ class DynSSSP:
     upper bound. The minimum weight is re-scanned lazily (see
     local_vd_estimate) after any event that could have lowered or removed
     it. Every repair must pass the same counters (``update_sssp(g, st,
-    events, vis)``).
+    events, vis)``), and every change to a count is made here.
     """
 
     __slots__ = (
@@ -111,22 +112,59 @@ class DynSSSP:
 
     @classmethod
     def initial(cls, g, source, vis):
-        """Fresh full search from source, counted in vis. One walk over the
-        distances counts reach, feeds the top-two tracker in node order and
-        bumps vis."""
+        """Fresh full search from source, counted in vis, as a repair that
+        settled every node it reaches (in node order) from nothing."""
         base = compute_extended_sssp(g, source)
         st = cls(source, g.weighted, base.d, base.sigma)
-        counters = vis.vis
-        reach = 0
-        for v, dv in enumerate(base.d):
-            if dv != INF:
-                reach += 1
-                st._observe(v, dv)
-                counters[v] += 1
-        st.reach = reach
+        st.absorb({v: INF for v, dv in enumerate(base.d) if dv != INF}, (), vis)
         if g.weighted:
             st._rescan_omega(g)
         return st
+
+    def absorb(self, old_d, events, vis):
+        """Bring reach, vis, d1/d2 and omega in line with a repair of d and
+        sigma by ``events``, given its ``AffectedSet.old_d``.
+
+        A node that lost its distance is released (queued in ``vis.U`` once
+        no search reaches it). One that gained a distance is claimed, which
+        on a weighted graph flags the omega scan dirty: the annexed region
+        brings edges it has never seen. Touched nodes' new finite distances
+        are observed in settling order, which decides n1/n2 among ties. An
+        event with an endpoint reachable before the repair (on the tracker's
+        undirected graphs, both were) may lower or have held omega_min.
+        """
+        d = self.d
+        counters = vis.vis
+        for v, od in old_d.items():
+            dv = d[v]
+            if dv != INF:
+                if od == INF:
+                    self.reach += 1
+                    counters[v] += 1
+                    if self.weighted:
+                        self.vd_dirty = True
+                self._observe(v, dv)
+            elif od != INF:
+                self.reach -= 1
+                counters[v] -= 1
+                if counters[v] == 0:
+                    vis.U.append(v)
+        if not self.weighted:
+            return
+        for ev in events:
+            if min(old_d.get(ev.u, d[ev.u]), old_d.get(ev.v, d[ev.v])) == INF:
+                continue
+            if ev.op != DELETE and ev.weight < self.omega_min:
+                self.omega_min = ev.weight
+            if ev.op != INSERT:
+                self.vd_dirty = True
+
+    def release(self, vis):
+        """Hand back every node this search reaches, before it is dropped:
+        the bookkeeping of a repair that leaves it reaching nothing."""
+        old_d = {v: dv for v, dv in enumerate(self.d) if dv != INF}
+        self.d = [INF] * len(self.d)
+        self.absorb(old_d, (), vis)
 
     def _observe(self, v, dv):
         if v == self.n1:
@@ -173,22 +211,25 @@ def local_vd_estimate(g, state):
 
 
 def update_sssp(g, state, events, vis=None):
-    """Dispatch to the weighted or unweighted update for g. Without ``vis``
-    any search with source, weighted, d and sigma will do."""
+    """Repair d and sigma with the weighted or unweighted update for g; any
+    search with source, weighted, d and sigma will do. With ``vis`` the
+    state is a tracker ``DynSSSP``, which then absorbs the repair."""
     if g.weighted != state.weighted:
         raise InconsistentState("state and graph disagree about weighting")
-    if g.weighted:
-        return update_sssp_w(g, state, events, vis)
-    return update_sssp_u(g, state, events, vis)
+    aff = (update_sssp_w if g.weighted else update_sssp_u)(g, state, events)
+    if vis is not None:
+        state.absorb(aff.old_d, events, vis)
+    return aff
 
 
-def update_sssp_w(g, state, events, vis=None):
-    """Weighted batch update (priority-queue scheme).
+def update_sssp_w(g, state, events):
+    """Weighted batch repair of d and sigma (priority-queue scheme).
 
     The graph must already reflect the batch; ``events`` is the canonical
-    effective list. Returns the set of nodes whose distance or count
-    changed. Distances and counts afterwards equal a fresh Dijkstra with
-    counting on the post-batch graph.
+    effective list. Returns an AffectedSet: the nodes whose distance or
+    count changed, and the pre-repair distance of every node touched.
+    Distances and counts afterwards equal a fresh Dijkstra with counting on
+    the post-batch graph.
     """
     if not g.weighted or not state.weighted:
         raise InvalidParams("update_sssp_w needs a weighted graph and state")
@@ -196,8 +237,6 @@ def update_sssp_w(g, state, events, vis=None):
     sigma = state.sigma
     out_adj = g._adj
     in_adj = g._radj
-    track = vis is not None
-    counters = vis.vis if track else None
 
     heap = []
     key = {}
@@ -237,11 +276,6 @@ def update_sssp_w(g, state, events, vis=None):
                 ev.old_weight is None or dist_eq(db, da + ev.old_weight)
             ):
                 push(b, db)
-        if track:
-            if op != DELETE and ev.weight < state.omega_min:
-                state.omega_min = ev.weight
-            if op != INSERT:
-                state.vd_dirty = True
 
     while heap:
         p, w = heapq.heappop(heap)
@@ -257,17 +291,10 @@ def update_sssp_w(g, state, events, vis=None):
                 if c < con:
                     con = c
         if dist_eq(con, p):
-            if w not in old_d:
-                old_d[w] = d[w]
-                old_sig[w] = sigma[w]
             prev_d = d[w]
             prev_sig = sigma[w]
-            if track and prev_d == INF:
-                state.reach += 1
-                counters[w] += 1
-                # a newly annexed region brings edges the omega scan has
-                # never seen
-                state.vd_dirty = True
+            old_d[w] = old_d.pop(w, prev_d)  # re-inserted: settling order
+            old_sig.setdefault(w, prev_sig)
             nd = con
             s = 0
             for z, wt in in_adj[w].items():
@@ -277,8 +304,6 @@ def update_sssp_w(g, state, events, vis=None):
                     s += sigma[z]
             d[w] = nd
             sigma[w] = s
-            if track:
-                state._observe(w, nd)
             changed = prev_d != nd or prev_sig != s
             for z, wt in out_adj[w].items():
                 touched += 1
@@ -290,17 +315,11 @@ def update_sssp_w(g, state, events, vis=None):
                     push(z, dz)
         elif con > p:
             if d[w] != INF:
-                if w not in old_d:
-                    old_d[w] = d[w]
-                    old_sig[w] = sigma[w]
                 prev = d[w]
+                old_d.setdefault(w, prev)
+                old_sig.setdefault(w, sigma[w])
                 d[w] = INF
                 sigma[w] = 0
-                if track:
-                    state.reach -= 1
-                    counters[w] -= 1
-                    if counters[w] == 0:
-                        vis.U.append(w)
                 if con != INF:
                     push(w, con)
                 for z, wt in out_adj[w].items():
@@ -320,11 +339,11 @@ def update_sssp_w(g, state, events, vis=None):
     affected = {
         v for v, od in old_d.items() if d[v] != od or sigma[v] != old_sig[v]
     }
-    return AffectedSet(affected, touched)
+    return AffectedSet(affected, touched, old_d)
 
 
-def update_sssp_u(g, state, events, vis=None):
-    """Unweighted batch update (per-level lists and colors).
+def update_sssp_u(g, state, events):
+    """Unweighted batch repair of d and sigma (per-level lists and colors).
 
     Same contract as update_sssp_w. Candidate levels replace priorities;
     a node is colored black once its final level is known and black nodes
@@ -337,8 +356,6 @@ def update_sssp_u(g, state, events, vis=None):
     sigma = state.sigma
     out_adj = g._adj
     in_adj = g._radj
-    track = vis is not None
-    counters = vis.vis if track else None
     n = g.n
 
     buckets = {}
@@ -385,14 +402,10 @@ def update_sssp_u(g, state, events, vis=None):
             if con != INF:
                 con += 1
             if con == k:
-                if w not in old_d:
-                    old_d[w] = d[w]
-                    old_sig[w] = sigma[w]
                 prev_d = d[w]
                 prev_sig = sigma[w]
-                if track and prev_d == INF:
-                    state.reach += 1
-                    counters[w] += 1
+                old_d[w] = old_d.pop(w, prev_d)  # re-inserted: settling order
+                old_sig.setdefault(w, prev_sig)
                 s = 0
                 for z in in_adj[w]:
                     touched += 1
@@ -401,8 +414,6 @@ def update_sssp_u(g, state, events, vis=None):
                 d[w] = k
                 sigma[w] = s
                 color[w] = 1
-                if track:
-                    state._observe(w, k)
                 changed = prev_d != k or prev_sig != s
                 for z in out_adj[w]:
                     touched += 1
@@ -411,17 +422,11 @@ def update_sssp_u(g, state, events, vis=None):
                         buckets.setdefault(k1, []).append(z)
             elif con > k:
                 if d[w] != INF:
-                    if w not in old_d:
-                        old_d[w] = d[w]
-                        old_sig[w] = sigma[w]
                     prev = d[w]
+                    old_d.setdefault(w, prev)
+                    old_sig.setdefault(w, sigma[w])
                     d[w] = INF
                     sigma[w] = 0
-                    if track:
-                        state.reach -= 1
-                        counters[w] -= 1
-                        if counters[w] == 0:
-                            vis.U.append(w)
                     if con != INF:
                         buckets.setdefault(con, []).append(w)
                     prev1 = prev + 1
@@ -440,4 +445,4 @@ def update_sssp_u(g, state, events, vis=None):
     affected = {
         v for v, od in old_d.items() if d[v] != od or sigma[v] != old_sig[v]
     }
-    return AffectedSet(affected, touched)
+    return AffectedSet(affected, touched, old_d)

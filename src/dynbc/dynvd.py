@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from .dynsssp import DynSSSP, VisCounters, local_vd_estimate, update_sssp
 from .errors import InvalidParams
-from .graph import INF
 
 
 class VDTracker:
@@ -48,16 +47,10 @@ def refresh_sources(g, sources, vis, events):
     rounds, since only updates fill it and this drains it. Returns the new
     source list.
     """
-    counters = vis.vis
     kept = []
     for st in sources:
-        if counters[st.source] > 1:
-            d = st.d
-            for v in range(g.n):
-                if d[v] != INF:
-                    counters[v] -= 1
-                    if counters[v] == 0:
-                        vis.U.append(v)
+        if vis.vis[st.source] > 1:
+            st.release(vis)
         else:
             update_sssp(g, st, events, vis)
             kept.append(st)

@@ -72,6 +72,14 @@ def test_load_errors(tmp_path):
         load_edge_list(neg, weighted=True)
 
 
+@pytest.mark.parametrize("stamp", ["inf", "-3"])
+def test_load_rejects_bad_timestamp_with_file_and_line(tmp_path, stamp):
+    path = write(tmp_path, "stamps.txt", f"0 1 1 5\n1 2 1 {stamp}\n")
+    with pytest.raises(ParseError) as err:
+        load_edge_list(path, fmt="temporal")
+    assert f"{path}:2: " in str(err.value)
+
+
 def test_load_rejects_non_finite_weights(tmp_path):
     for word in ("inf", "nan"):
         path = write(tmp_path, f"{word}.txt", f"0 1 1\n1 2 {word}\n")

@@ -61,7 +61,7 @@ def test_delete_only_edge_marks_unreachable():
     st = DynSSSP.initial(g, 0, vis)
     assert vis.vis == [1, 1]
     eff = apply_batch(g, [EdgeEvent(0, 1, "delete")])
-    update_sssp_u(g, st, eff, vis)
+    update_sssp(g, st, eff, vis)
     assert st.d[1] == INF and st.sigma[1] == 0
     assert vis.vis[1] == 0 and 1 in vis.U
     assert_matches_fresh(g, st)
@@ -153,6 +153,8 @@ def test_non_affected_nodes_keep_bit_identical_values():
         before_sig = list(st.sigma)
         eff = apply_batch(g, Batch(random_valid_batch(rng, g, 6)))
         aff = update_sssp(g, st, eff)
+        assert aff.nodes <= aff.old_d.keys()
+        assert all(aff.old_d[v] == before_d[v] for v in aff.old_d)
         for v in range(n):
             if v not in aff.nodes:
                 assert st.d[v] == before_d[v]
@@ -170,7 +172,17 @@ def test_vis_recount_invariant():
         for st in sources:
             update_sssp(g, st, eff, vis)
             assert_matches_fresh(g, st)
-            assert st.reach == sum(1 for dv in st.d if dv != INF)
+            finite = sorted(dv for dv in st.d if dv != INF)
+            assert st.reach == len(finite)
+            # running maxima stay at or above the current top two
+            assert st.d1 >= finite[-1]
+            if len(finite) > 1:
+                assert st.d1 + st.d2 >= finite[-1] + finite[-2]
+            fresh = DynSSSP.initial(g, st.source, VisCounters.zeros(n))
+            local_vd_estimate(g, st)
+            if st.reach > 1:  # a lone source scores 1 without a rescan
+                assert st.omega_min == fresh.omega_min
+                assert not st.vd_dirty
         for v in range(n):
             expect = sum(1 for st in sources if st.d[v] != INF)
             assert vis.vis[v] == expect
