@@ -4,12 +4,12 @@ A score state holds r sampled (pair, search, path) triples; each node's
 score is the fraction of sampled paths it is internal to. A dynamic state's
 search is a plain full ``ExtendedSSSP`` (distances and path counts only).
 The static runner draws the samples once and keeps only the paths. The
-update entry points keep the samples valid across batches of edge events. Every mode runs the same round: each
-sample's search is repaired, its path is replaced when the batch was not
-purely incremental or the target's distance dropped or path count changed
-(for a purely incremental batch this provably preserves the per-iteration
-sampling distribution), and the diameter bound is refreshed. Only the bound
-step differs:
+update entry points keep the samples valid across batches of edge events.
+Every mode runs the same round: each sample's search is repaired, its path
+is kept or redrawn by one exact rule (see ``_update``) that leaves it
+uniform over the target's new shortest paths and draws nothing when the
+batch left them as they were, and the diameter bound is refreshed. Only the
+bound step differs:
 
 * ``ia`` / ``iaw`` (incremental, unweighted/weighted): only insertions and
   weight decreases are allowed, and the bound is kept. The caller is
@@ -39,7 +39,7 @@ from .dynsssp import DynSSSP, VisCounters, local_vd_estimate, update_sssp
 from .dynvd import cover, refresh_sources
 from .errors import DeletionInIncrementalMode, InvalidParams
 from .exact import ExtendedSSSP, compute_extended_sssp
-from .graph import DELETE, INSERT, dist_lt
+from .graph import INSERT, SET_WEIGHT, dist_eq
 from .rng import stream
 from .sampling import SampledPath, sample_pair, sample_path, sample_size
 from .vdbounds import vd_upper_bound
@@ -171,58 +171,110 @@ def _require_mode(state, allowed):
         )
 
 
-def _is_incremental(events):
-    """True when the batch holds only insertions and weight decreases."""
-    for ev in events:
-        if ev.op == DELETE:
-            return False
-        if ev.op == INSERT:
-            continue
-        if ev.old_weight is None or ev.weight > ev.old_weight:
-            return False
-    return True
+def _directions(events):
+    """How the batch can move distances: -1 for each insertion or weight
+    decrease, +1 for each deletion or weight increase (or unknown old
+    weight). An empty set or one element means the batch is monotone."""
+    return {
+        -1 if ev.op == INSERT or (
+            ev.op == SET_WEIGHT
+            and ev.old_weight is not None
+            and ev.weight <= ev.old_weight
+        ) else 1
+        for ev in events
+    }
 
 
-def _replace_path(g, state, i, rng):
-    rec = state.samples[i]
-    inv = 1.0 / state.r
-    add = state.scores
-    if not rec.path.empty:
-        for v in rec.path.internal:
-            add[v] -= inv
-    rec.path = sample_path(g, rec.sssp, rec.t, rng)
-    if not rec.path.empty:
-        for v in rec.path.internal:
-            add[v] += inv
+def _has_length(g, path, length, weights):
+    """Whether a non-empty path's edges all exist and sum to ``length``
+    under ``dist_eq``. ``weights`` maps a directed edge key to the weight to
+    read instead of the graph's; None there marks an absent edge."""
+    if path.empty:
+        return False
+    nodes = [path.s, *path.internal, path.t]
+    adj = g._adj
+    total = 0
+    for a, b in zip(nodes, nodes[1:]):
+        w = weights[a, b] if (a, b) in weights else adj[a].get(b)
+        if w is None:
+            return False
+        total += w
+    return dist_eq(total, length)
 
 
 def _update(g, state, events, allowed):
     """One update round for a state whose mode is in ``allowed``: repair
-    every sample search, replace the paths the batch may have invalidated,
-    refresh the bound the mode keeps, and grow the sample set if the bound
-    now asks for more samples."""
+    every sample search, keep or redraw each path, refresh the bound the
+    mode keeps, and grow the sample set if the bound now asks for more
+    samples. ``events`` are ``apply_batch``'s effective events.
+
+    Keep or redraw. Let P and P' be the target's shortest paths before and
+    after the batch, sigma = |P|, sigma' = |P'|, and q = |P & P'|; the
+    stored path p is uniform over P.
+
+    * Fast keep: a monotone batch (only insertions and weight decreases, or
+      only deletions and weight increases) that leaves d[t] unchanged has
+      P <= P' or P' <= P; with sigma[t] unchanged too, P' = P, so p stays
+      with no draw.
+    * Keep: p in P' (every edge present, length d[t]) stays with
+      probability alpha = min(1, sigma/sigma').
+    * Redraw: otherwise draw x uniformly from P'. Accept x if it is new
+      (some edge inserted, or its pre-batch length is not the old d[t]);
+      accept an old x with probability beta = max(0, 1 - sigma'/sigma);
+      else draw again. The accepted x is new with weight 1 and old with
+      weight beta, over a total mass of (sigma' - q) + q*beta.
+
+    Exactness: if sigma >= sigma', p is redrawn with probability
+    (sigma - q)/sigma and the mass is sigma'(sigma - q)/sigma, so a new x
+    ends with probability 1/sigma' and an old one with
+    1/sigma + beta/sigma' = 1/sigma'. If sigma < sigma', beta = 0, p is
+    redrawn with probability 1 - q/sigma' over mass sigma' - q, so a new x
+    ends with 1/sigma' and an old one with alpha/sigma = 1/sigma'. A
+    decremental batch with d[t] unchanged has P' <= P: every draw is old,
+    and accepting the first one gives each x 1/sigma + (1/sigma' - 1/sigma)
+    = 1/sigma' as well. An unreachable target gets the empty path."""
     _require_mode(state, allowed)
     mode = state.mode
-    incremental = _is_incremental(events)
-    if mode in ("ia", "iaw") and not incremental:
+    directions = _directions(events)
+    if mode in ("ia", "iaw") and 1 in directions:
         raise DeletionInIncrementalMode(
             "batch contains a deletion or a weight increase"
         )
+    monotone = len(directions) < 2
+    # pre-batch weight of each touched edge, None for an inserted one
+    before = {(ev.u, ev.v): ev.old_weight for ev in events}
+    if not g.directed:
+        before.update({(v, u): w for (u, v), w in before.items()})
     params = state.params
+    inv = 1.0 / state.r
+    add = state.scores
     for i, rec in enumerate(state.samples):
         st = rec.sssp
         t = rec.t
         d_old = st.d[t]
         sig_old = st.sigma[t]
         update_sssp(g, st, events)
-        if (
-            not incremental
-            or dist_lt(st.d[t], d_old)
-            or st.sigma[t] != sig_old
-        ):
-            _replace_path(
-                g, state, i, stream(params.seed, _RESAMPLE_DOMAIN, state.round, i)
-            )
+        sig_new = st.sigma[t]
+        same_d = dist_eq(st.d[t], d_old)
+        if monotone and same_d and sig_new == sig_old:
+            continue
+        kept = _has_length(g, rec.path, st.d[t], {})
+        if kept and sig_old >= sig_new:
+            continue
+        rng = stream(params.seed, _RESAMPLE_DOMAIN, state.round, i)
+        if kept and rng.randrange(sig_new) < sig_old:
+            continue
+        path = sample_path(g, st, t, rng)
+        if not (same_d and directions == {1}):  # else P' <= P: keep any draw
+            while _has_length(g, path, d_old, before) and (
+                rng.randrange(sig_old) < sig_new
+            ):  # an old path, rejected with probability 1 - beta
+                path = sample_path(g, st, t, rng)
+        for v in rec.path.internal:
+            add[v] -= inv
+        rec.path = path
+        for v in path.internal:
+            add[v] += inv
     if mode in ("dad", "dadw"):
         state.vd_bound = vd_upper_bound(g).value
     elif mode in ("da", "daw"):
@@ -239,9 +291,10 @@ def _update(g, state, events, allowed):
 
 
 def update_incremental(g, state, events):
-    """ia/iaw update. Rejects deletions and weight increases; a sample is
-    resampled exactly when its target's distance dropped or its path count
-    changed."""
+    """ia/iaw update. Rejects deletions and weight increases; a path is
+    only reconsidered when its target's distance dropped or its path count
+    grew, and then kept with probability sigma/sigma' while still
+    shortest."""
     return _update(g, state, events, ("ia", "iaw"))
 
 

@@ -114,7 +114,10 @@ def load_edge_list(path, fmt="plain", directed=False, weighted=False):
                         raise ValueError("expected 'u v w t'")
                     u, v = parts[0], parts[1]
                     w = float(parts[2])
-                    t = int(float(parts[3]))
+                    try:  # int() keeps stamps above 2**53 exact
+                        t = int(parts[3])
+                    except ValueError:
+                        t = int(float(parts[3]))
                     if t < 0:
                         raise ValueError(f"negative timestamp {t}")
             except (ValueError, OverflowError) as exc:

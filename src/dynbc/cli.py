@@ -19,6 +19,7 @@ import sys
 
 from .bc import MODES
 from .bench import SCENARIOS, ScenarioSpec, load_edge_list, run_experiment
+from .errors import GraphError
 from .exact import brandes_exact
 from .graph import generate, max_shortest_path_hops, weakly_connected_components
 from .sampling import SamplingParams
@@ -30,6 +31,10 @@ def _add_graph_args(p):
     p.add_argument("--format", choices=("plain", "temporal"), default="plain")
     p.add_argument("--directed", action="store_true")
     p.add_argument("--weighted", action="store_true")
+
+
+def _int_list(text):
+    return [int(x) for x in text.split(",") if x]
 
 
 def _emit(rows, header, out, fmt):
@@ -60,7 +65,10 @@ def main(argv=None):
     p_run.add_argument("--scenario", choices=SCENARIOS, default="real")
     p_run.add_argument("--x", type=int, required=True, help="prepared events")
     p_run.add_argument(
-        "--batch-sizes", default="1,16,1024", help="comma-separated powers of two"
+        "--batch-sizes",
+        type=_int_list,
+        default="1,16,1024",
+        help="comma-separated powers of two",
     )
     p_run.add_argument("--runs", type=int, default=10)
     p_run.add_argument("--seed", type=int, default=0)
@@ -100,16 +108,21 @@ def main(argv=None):
     p_gen.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
+    try:
+        return _run(parser, args)
+    except (GraphError, OSError) as exc:
+        parser.exit(2, f"dynbc: error: {exc}\n")
 
+
+def _run(parser, args):
     if args.command == "run":
         g, events = load_edge_list(
             args.graph, args.format, args.directed, args.weighted
         )
-        batch_sizes = [int(x) for x in args.batch_sizes.split(",") if x]
         spec = ScenarioSpec(
             kind=args.scenario,
             x=args.x,
-            batch_sizes=batch_sizes,
+            batch_sizes=args.batch_sizes,
             runs=args.runs,
             seed=args.seed,
         )

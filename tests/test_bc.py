@@ -37,7 +37,7 @@ from dynbc.dynvd import cover
 from dynbc.errors import DeletionInIncrementalMode, InvalidParams
 from dynbc.rng import stream
 
-from helpers import CHI2_CRIT_1E3, random_graph, random_valid_batch
+from helpers import CHI2_CRIT_1E3, all_min_paths, random_graph, random_valid_batch
 
 
 def forced_state(g, params, mode, pairs, vd_bound=None):
@@ -217,6 +217,109 @@ def test_incremental_posterior_path_distribution():
     se = math.sqrt((1 / 3) * (2 / 3) / draws)
     for c in counts.values():
         assert abs(c / draws - 1 / 3) <= 4 * se + 1e-9
+
+
+def _ev(u, v, op="insert", w=None):
+    return EdgeEvent(u, v, op, w)
+
+
+# Keep-or-redraw cases for deletions, weight increases and mixed batches:
+# (mode, edges (u, v, w), batch), for the pair (0, 5) on six nodes.
+_FAN = [(0, i, 1.0) for i in (1, 2, 3)] + [(i, 5, 1.0) for i in (1, 2, 3)]
+_POSTERIOR_CASES = {
+    # sigma 3 -> 2, d[t] unchanged: the first redraw is accepted
+    "delete-unweighted": (
+        "dad",
+        [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0), (2, 4, 1.0),
+         (3, 5, 1.0), (4, 5, 1.0)],
+        [_ev(1, 4, "delete")],
+    ),
+    # d[t] grows 2 -> 3 and both stored paths stay shortest beside a new one
+    "increase-d-grows-weighted": (
+        "dadw",
+        [(0, 1, 1.0), (1, 5, 1.0), (0, 2, 1.0), (2, 5, 1.0), (0, 3, 1.5),
+         (3, 5, 1.5)],
+        [_ev(0, 1, "set-weight", 2.0), _ev(0, 2, "set-weight", 2.0)],
+    ),
+    # sigma 3 -> 2 under a weight increase, d[t] unchanged
+    "increase-same-d-weighted": (
+        "dadw", _FAN, [_ev(3, 5, "set-weight", 1.5)],
+    ),
+    # one route dies, an equal-length one appears: sigma 2 -> 2
+    "mixed-unweighted": (
+        "dad",
+        _FAN[:2] + _FAN[3:5],
+        [_ev(1, 5, "delete"), _ev(0, 3), _ev(3, 5)],
+    ),
+    "mixed-weighted": (
+        "dadw",
+        _FAN[:5] + [(3, 5, 2.0)],
+        [_ev(1, 5, "set-weight", 2.0), _ev(3, 5, "set-weight", 1.0)],
+    ),
+    # sigma 3 -> 2 with one old route kept: old draws accepted w.p. 1/3
+    "mixed-shrinks-unweighted": (
+        "dad",
+        _FAN,
+        [_ev(1, 5, "delete"), _ev(2, 5, "delete"), _ev(0, 4), _ev(4, 5)],
+    ),
+    # a weight decrease raises sigma 2 -> 3 with d[t] unchanged
+    "decrease-raises-sigma-weighted": (
+        "iaw",
+        _FAN[:5] + [(3, 5, 2.0)],
+        [_ev(3, 5, "set-weight", 1.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POSTERIOR_CASES))
+def test_keep_or_redraw_posterior_path_distribution(case):
+    # after the batch the stored path must be uniform over the pair's new
+    # shortest paths (frequency check plus chi-square at significance 1e-3)
+    mode, edges, batch = _POSTERIOR_CASES[case]
+    draws = 15_000
+    counts = Counter()
+    for seed in range(draws):
+        g = DynGraph(6, weighted=mode.endswith("w"))
+        for u, v, w in edges:
+            g.insert_edge(u, v, w)
+        # a tiny c pins r at 1, so no sample is added by the update
+        params = SamplingParams(0.3, 0.3, c=1e-9, seed=seed)
+        st = forced_state(g, params, mode, [(0, 5)])
+        eff = apply_batch(g, batch)
+        update_bc(g, st, eff)
+        assert st.r == 1
+        counts[tuple(st.samples[0].path.internal)] += 1
+    want = {tuple(p[1:-1]) for p in all_min_paths(g, 0, 5)}
+    assert set(counts) == want
+    k = len(want)
+    expect = draws / k
+    chi2 = sum((c - expect) ** 2 / expect for c in counts.values())
+    assert chi2 <= CHI2_CRIT_1E3[k - 1]
+    se = math.sqrt((1 / k) * (1 - 1 / k) / draws)
+    for c in counts.values():
+        assert abs(c / draws - 1 / k) <= 4 * se + 1e-9
+
+
+def test_untouched_weight_increase_draws_nothing(monkeypatch):
+    # a heavy chord lies on no shortest path, so raising it changes no
+    # sample's d[t] or sigma[t]: no path is drawn and every path object stays
+    g = generate("path", n=8, weighted=True)
+    g.insert_edge(0, 7, 100.0)
+    params = SamplingParams(0.2, 0.2, seed=3)
+    st = init_bc(g, params, "daw")
+    before = [rec.path for rec in st.samples]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sample_path(*args)
+
+    monkeypatch.setattr("dynbc.bc.sample_path", counting)
+    eff = apply_batch(g, [EdgeEvent(0, 7, "set-weight", 200.0)])
+    update_bc(g, st, eff)
+    assert st.r == len(before)
+    assert calls == []
+    assert all(rec.path is p for rec, p in zip(st.samples, before))
 
 
 def test_fully_dynamic_disconnect_and_reconnect():

@@ -62,6 +62,17 @@ def test_load_temporal_sorts_by_timestamp(tmp_path):
     assert stamps == sorted(stamps) == [10, 20, 30]
 
 
+def test_load_temporal_keeps_timestamps_above_2_pow_53(tmp_path):
+    # nanosecond Unix times exceed 2**53, where a float round trip collapses
+    # neighbours; decimal and exponent forms still truncate
+    big = 2**53
+    text = f"1 2 1 {big + 1}\n2 3 1 {big}\n3 4 1 7.9\n4 5 1 2e1\n"
+    path = write(tmp_path, "ns.txt", text)
+    _, events = load_edge_list(path, fmt="temporal")
+    assert [ev.timestamp for ev in events] == [7, 20, big, big + 1]
+    assert [(ev.u, ev.v) for ev in events][2:] == [(1, 2), (0, 1)]
+
+
 def test_load_errors(tmp_path):
     bad = write(tmp_path, "bad.txt", "0 1\nnot numbers here extra\n")
     with pytest.raises(ParseError) as err:
@@ -324,6 +335,31 @@ def test_cli_generate_exact_vd_and_run(tmp_path):
     lines = open(run_out).read().strip().splitlines()
     assert len(lines) == 3  # header plus two runs
     assert lines[0].startswith("scenario,mode,batch_size,run")
+
+
+def test_cli_user_errors_exit_2_without_traceback(tmp_path, capsys):
+    graph_file = write(tmp_path, "p.txt", "".join(f"{i} {i + 1}\n" for i in range(9)))
+    run = ["run", "--x", "4", "--batch-sizes", "2", "--runs", "1"]
+    cases = [
+        (["--graph", graph_file, "--mode", "da", "--scenario", "weights"],
+         "weighted graph"),
+        (["--graph", str(tmp_path / "missing.txt"), "--mode", "da"],
+         "No such file"),
+        (["--graph", graph_file, "--mode", "ia", "--scenario", "random"],
+         "deletion"),
+    ]
+    for args, words in cases:
+        with pytest.raises(SystemExit) as done:
+            cli_main(run + args)
+        assert done.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dynbc: error: ") and words in err
+        assert "Traceback" not in err
+    with pytest.raises(SystemExit) as done:
+        cli_main(["run", "--graph", graph_file, "--mode", "da", "--x", "4",
+                  "--batch-sizes", "1,x"])
+    assert done.value.code == 2
+    assert "--batch-sizes" in capsys.readouterr().err
 
 
 def test_perfbench_selftest_passes():
