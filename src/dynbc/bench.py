@@ -96,13 +96,12 @@ def load_edge_list(path, fmt="plain", directed=False, weighted=False):
         raise InvalidParams(f"unknown edge-list format {fmt!r}")
     ids = {}
     raw = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # decoded per line, so bad bytes name a line
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line[0] in "#%":
-                continue
-            parts = line.split()
             try:
+                parts = line.decode("utf-8").split()
+                if not parts or parts[0][0] in "#%":
+                    continue
                 if fmt == "plain":
                     if len(parts) < 2 or len(parts) > 3:
                         raise ValueError("expected 'u v [w]'")

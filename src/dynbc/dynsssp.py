@@ -9,8 +9,8 @@ insertion order, and node colors. Both repair only d and sigma, all a score
 sample's plain ``ExtendedSSSP`` holds, and record the pre-repair distance of
 every node they touch. From that record the diameter tracker's ``DynSSSP``
 updates its reach, the tracker's shared reachability counters (``vis``) and
-its vertex-diameter ingredients: the two largest distances seen from the
-source and the smallest edge weight in the source's component.
+its vertex-diameter ingredient: the two largest distances seen from the
+source.
 
 Rules the update loops rely on:
 
@@ -72,15 +72,13 @@ class DynSSSP:
     """The diameter tracker's search: an extended SSSP rooted at one source,
     counted in the tracker's shared ``VisCounters``.
 
-    Besides d and sigma it carries reach (nodes at finite distance), d1/d2
-    (largest and second-largest finite distance, over distinct nodes) and
-    the minimum edge weight of the source's component. d1/d2 are maintained
-    as running maxima: they never miss an increase, and after decreases
-    they may lag high, which keeps the derived diameter estimate a valid
-    upper bound. The minimum weight is re-scanned lazily (see
-    local_vd_estimate) after any event that could have lowered or removed
-    it. Every repair must pass the same counters (``update_sssp(g, st,
-    events, vis)``), and every change to a count is made here.
+    Besides d and sigma it carries reach (nodes at finite distance) and
+    d1/d2 (largest and second-largest finite distance, over distinct
+    nodes). d1/d2 are maintained as running maxima: they never miss an
+    increase, and after decreases they may lag high, which keeps the
+    derived diameter estimate a valid upper bound. Every repair must pass
+    the same counters (``update_sssp(g, st, events, vis)``), and every
+    change to a count is made here.
     """
 
     __slots__ = (
@@ -93,9 +91,11 @@ class DynSSSP:
         "n1",
         "d2",
         "n2",
-        "omega_min",
-        "vd_dirty",
     )
+
+    # Always False: the estimate rescans nothing. perfbench/tracing.py
+    # still reads it to count omega rescans, which therefore stay 0.
+    vd_dirty = False
 
     def __init__(self, source, weighted, d, sigma):
         self.source = source
@@ -107,8 +107,6 @@ class DynSSSP:
         self.n1 = -1
         self.d2 = -1.0
         self.n2 = -1
-        self.omega_min = INF
-        self.vd_dirty = False
 
     @classmethod
     def initial(cls, g, source, vis):
@@ -116,22 +114,17 @@ class DynSSSP:
         settled every node it reaches (in node order) from nothing."""
         base = compute_extended_sssp(g, source)
         st = cls(source, g.weighted, base.d, base.sigma)
-        st.absorb({v: INF for v, dv in enumerate(base.d) if dv != INF}, (), vis)
-        if g.weighted:
-            st._rescan_omega(g)
+        st.absorb({v: INF for v, dv in enumerate(base.d) if dv != INF}, vis)
         return st
 
-    def absorb(self, old_d, events, vis):
-        """Bring reach, vis, d1/d2 and omega in line with a repair of d and
-        sigma by ``events``, given its ``AffectedSet.old_d``.
+    def absorb(self, old_d, vis):
+        """Bring reach, vis and d1/d2 in line with a repair of d and sigma,
+        given its ``AffectedSet.old_d``.
 
         A node that lost its distance is released (queued in ``vis.U`` once
-        no search reaches it). One that gained a distance is claimed, which
-        on a weighted graph flags the omega scan dirty: the annexed region
-        brings edges it has never seen. Touched nodes' new finite distances
-        are observed in settling order, which decides n1/n2 among ties. An
-        event with an endpoint reachable before the repair (on the tracker's
-        undirected graphs, both were) may lower or have held omega_min.
+        no search reaches it). One that gained a distance is claimed. Touched
+        nodes' new finite distances are observed in settling order, which
+        decides n1/n2 among ties.
         """
         d = self.d
         counters = vis.vis
@@ -141,30 +134,19 @@ class DynSSSP:
                 if od == INF:
                     self.reach += 1
                     counters[v] += 1
-                    if self.weighted:
-                        self.vd_dirty = True
                 self._observe(v, dv)
             elif od != INF:
                 self.reach -= 1
                 counters[v] -= 1
                 if counters[v] == 0:
                     vis.U.append(v)
-        if not self.weighted:
-            return
-        for ev in events:
-            if min(old_d.get(ev.u, d[ev.u]), old_d.get(ev.v, d[ev.v])) == INF:
-                continue
-            if ev.op != DELETE and ev.weight < self.omega_min:
-                self.omega_min = ev.weight
-            if ev.op != INSERT:
-                self.vd_dirty = True
 
     def release(self, vis):
         """Hand back every node this search reaches, before it is dropped:
         the bookkeeping of a repair that leaves it reaching nothing."""
         old_d = {v: dv for v, dv in enumerate(self.d) if dv != INF}
         self.d = [INF] * len(self.d)
-        self.absorb(old_d, (), vis)
+        self.absorb(old_d, vis)
 
     def _observe(self, v, dv):
         if v == self.n1:
@@ -179,35 +161,20 @@ class DynSSSP:
         elif dv > self.d2:
             self.n2, self.d2 = v, dv
 
-    def _rescan_omega(self, g):
-        omega = INF
-        d = self.d
-        for u in range(g.n):
-            if d[u] == INF:
-                continue
-            for v, w in g._adj[u].items():
-                if d[v] != INF and w < omega:
-                    omega = w
-        self.omega_min = omega
-        self.vd_dirty = False
-
 
 def local_vd_estimate(g, state):
     """Upper bound on the vertex diameter of the source's component.
 
-    1 + (d1 + d2) / omega_min, with omega_min fixed at 1 for unweighted
-    graphs. A component holding only the source scores 1. When the state is
-    flagged dirty (weight deletions/increases, or a merge that annexed
-    previously unscanned edges) the minimum weight is recomputed here first,
-    which restores both soundness and tightness of the divisor.
+    Any shortest path x..y in the (undirected) component weighs at most
+    d(s, x) + d(s, y) <= d1 + d2, and running maxima only make d1 + d2
+    larger, so the bound is 1 + g.max_hops(d1 + d2): 1 + d1 + d2 when
+    unweighted; weighted, a path with h edges weighs at least the sum of
+    the h lightest edge weights in the graph. A component holding only the
+    source scores 1.
     """
     if state.reach <= 1:
         return 1.0
-    if state.weighted:
-        if state.vd_dirty:
-            state._rescan_omega(g)
-        return 1.0 + (state.d1 + state.d2) / state.omega_min
-    return 1.0 + state.d1 + state.d2
+    return 1.0 + g.max_hops(state.d1 + state.d2)
 
 
 def update_sssp(g, state, events, vis=None):
@@ -218,7 +185,7 @@ def update_sssp(g, state, events, vis=None):
         raise InconsistentState("state and graph disagree about weighting")
     aff = (update_sssp_w if g.weighted else update_sssp_u)(g, state, events)
     if vis is not None:
-        state.absorb(aff.old_d, events, vis)
+        state.absorb(aff.old_d, vis)
     return aff
 
 
@@ -388,17 +355,21 @@ def update_sssp_u(g, state, events):
     while buckets:
         if k > n:
             raise InconsistentState("candidate level beyond any simple path")
-        km1 = k - 1
         k1 = k + 1
         for w in buckets.pop(k, ()):
             if color[w]:
                 continue
+            # one pass: the lowest in-neighbour level and its sigma sum
             con = INF
+            s = 0
             for z in in_adj[w]:
                 touched += 1
                 dz = d[z]
-                if dz != INF and dz < con:
+                if dz < con:
                     con = dz
+                    s = sigma[z]
+                elif dz == con:
+                    s += sigma[z]
             if con != INF:
                 con += 1
             if con == k:
@@ -406,11 +377,6 @@ def update_sssp_u(g, state, events):
                 prev_sig = sigma[w]
                 old_d[w] = old_d.pop(w, prev_d)  # re-inserted: settling order
                 old_sig.setdefault(w, prev_sig)
-                s = 0
-                for z in in_adj[w]:
-                    touched += 1
-                    if d[z] == km1:
-                        s += sigma[z]
                 d[w] = k
                 sigma[w] = s
                 color[w] = 1

@@ -13,6 +13,7 @@ an oracle.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import random
@@ -103,9 +104,13 @@ class DynGraph:
     weight. Directed graphs keep forward and reverse maps, so in-edges are
     as cheap as out-edges. Any number of readers may share an instance;
     mutation requires exclusive access.
+
+    ``_wsorted`` holds every edge weight (one per undirected edge) in
+    ascending order. It is built by the first ``max_hops`` call and kept
+    sorted by each mutation after that; ``copy`` leaves it unbuilt.
     """
 
-    __slots__ = ("n", "directed", "weighted", "_adj", "_radj", "_m")
+    __slots__ = ("n", "directed", "weighted", "_adj", "_radj", "_m", "_wsorted")
 
     def __init__(self, n, directed=False, weighted=False):
         if n < 0:
@@ -118,6 +123,7 @@ class DynGraph:
         # out_edges uniform for undirected graphs.
         self._radj = [dict() for _ in range(n)] if directed else self._adj
         self._m = 0
+        self._wsorted = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -166,6 +172,26 @@ class DynGraph:
                     if u < v:
                         yield u, v, w
 
+    def max_hops(self, length):
+        """Most edges a simple path of weight at most ``length`` can have.
+
+        Unweighted, that is ``length`` itself. Weighted, it is the largest h
+        whose h lightest edge weights sum to no more than ``length`` (within
+        REL_TOL): a path with h edges weighs at least that sum. Costs O(h)
+        once the sorted weights exist."""
+        if not self.weighted:
+            return length
+        ws = self._wsorted
+        if ws is None:
+            ws = self._wsorted = sorted(w for *_, w in self.edges())
+        limit = length * (1 + REL_TOL)
+        total = 0.0
+        for h, w in enumerate(ws):
+            total += w
+            if total > limit:
+                return h
+        return len(ws)
+
     def copy(self):
         g = DynGraph(self.n, self.directed, self.weighted)
         g._adj = [dict(a) for a in self._adj]
@@ -192,18 +218,22 @@ class DynGraph:
         else:
             self._adj[v][u] = w
         self._m += 1
+        if self._wsorted is not None:
+            bisect.insort(self._wsorted, w)
 
     def delete_edge(self, u, v):
         self._check_node(u)
         self._check_node(v)
         if v not in self._adj[u]:
             raise MissingEdge(f"edge ({u}, {v}) not present")
-        del self._adj[u][v]
+        w = self._adj[u].pop(v)
         if self.directed:
             del self._radj[v][u]
         else:
             del self._adj[v][u]
         self._m -= 1
+        if self._wsorted is not None:
+            self._drop_weight(w)
 
     def set_weight(self, u, v, w):
         if not self.weighted:
@@ -214,11 +244,18 @@ class DynGraph:
             raise MissingEdge(f"edge ({u}, {v}) not present")
         if not (w > 0 and math.isfinite(w)):
             raise InvalidParams("edge weight must be positive and finite")
+        if self._wsorted is not None:
+            self._drop_weight(self._adj[u][v])
+            bisect.insort(self._wsorted, w)
         self._adj[u][v] = w
         if self.directed:
             self._radj[v][u] = w
         else:
             self._adj[v][u] = w
+
+    def _drop_weight(self, w):
+        ws = self._wsorted
+        del ws[bisect.bisect_left(ws, w)]
 
 
 def apply_batch(g, batch):

@@ -6,8 +6,14 @@ cheap: each bound here costs one or two searches per component, each kept
 inside it. Sources are always the lowest-index node of their component,
 which keeps the values deterministic. Undirected bounds find those sources
 with the searches themselves: scanning nodes in index order, each node that
-no earlier search reached roots the next one. Weighted bounds may be
-fractional; consumers round up before use.
+no earlier search reached roots the next one.
+
+Each search yields L, an upper bound on the weight of any shortest path in
+its component, and the bound is 1 + ``DynGraph.max_hops(L)``. Unweighted,
+such a path has at most L edges. Weighted, a path with h edges weighs at
+least the sum of the h lightest edge weights in the graph, so the vertex
+diameter is at most 1 + max{h : w(1) + ... + w(h) <= L}, with REL_TOL
+slack for rounding.
 """
 
 from __future__ import annotations
@@ -68,23 +74,12 @@ def _dijkstra_dists(adj, s, comp_of=None):
     return dist
 
 
-def _min_weight(g, nodes, comp_of=None):
-    """Smallest weight on an edge out of nodes; with comp_of only edges
-    that stay inside their tail's component count."""
-    omega = INF
-    for u in nodes:
-        for v, w in g._adj[u].items():
-            if w < omega and (comp_of is None or comp_of[v] == comp_of[u]):
-                omega = w
-    return omega
-
-
 def _cc_local_bounds(g):
-    """Per connected component: 1 + (two largest distances from the
-    lowest-index member) / omega, where omega is the component's minimum
-    edge weight, or 1 when unweighted. Single-node components score 1.
-    A node that no earlier search reached is the lowest-index member of a
-    component not yet seen."""
+    """Per connected component: 1 + max_hops of the two largest distances
+    from the lowest-index member. Any shortest path x..y in the component
+    weighs at most d(s, x) + d(s, y) <= d1 + d2. Single-node components
+    score 1. A node that no earlier search reached is the lowest-index
+    member of a component not yet seen."""
     search = _dijkstra_dists if g.weighted else _bfs_dists
     seen = bytearray(g.n)
     bounds = []
@@ -97,9 +92,8 @@ def _cc_local_bounds(g):
         if len(dists) == 1:
             bounds.append(1.0)
             continue
-        omega = _min_weight(g, dists) if g.weighted else 1
         d1, d2 = heapq.nlargest(2, dists.values())
-        bounds.append(1.0 + (d1 + d2) / omega)
+        bounds.append(1.0 + g.max_hops(d1 + d2))
     return bounds
 
 
@@ -125,7 +119,9 @@ def vd_ub_strongly_connected(g, s):
 
 def _scc_local_bounds(g, cond):
     """Per-SCC bound: forward and backward searches from the lowest-index
-    member, stopped at the SCC boundary. Single-node SCCs score 1."""
+    member s, stopped at the SCC boundary, give 1 + max_hops of fwd max +
+    bwd max. A shortest path x..y between members stays inside the SCC and
+    weighs at most d(x, s) + d(s, y). Single-node SCCs score 1."""
     search = _dijkstra_dists if g.weighted else _bfs_dists
     bounds = []
     for members in cond.members:
@@ -135,11 +131,7 @@ def _scc_local_bounds(g, cond):
         s = min(members)
         fwd = search(g._adj, s, cond.comp_of)
         bwd = search(g._radj, s, cond.comp_of)
-        reach = max(fwd.values()) + max(bwd.values())
-        if g.weighted:
-            bounds.append(1.0 + reach / _min_weight(g, members, cond.comp_of))
-        else:
-            bounds.append(1.0 + reach)
+        bounds.append(1.0 + g.max_hops(max(fwd.values()) + max(bwd.values())))
     return bounds
 
 
@@ -168,7 +160,8 @@ def vd_ub_directed(g):
 
 
 def vd_ub_weighted_undirected(g):
-    """Per component: 1 + (two largest distances)/(minimum edge weight)."""
+    """Per component: 1 + the most edges whose lightest-first weight sum
+    stays within the two largest distances from one source."""
     _check(g, False, True, "vd_ub_weighted_undirected")
     return VDBound(max(_cc_local_bounds(g), default=1.0), "W")
 

@@ -116,6 +116,21 @@ def random_graph(rng, n, avg_deg=2.5, directed=False, weighted=False):
     return g
 
 
+def spread_weight(rng):
+    """A weight drawn log-uniformly over three orders of magnitude."""
+    return 10 ** rng.uniform(-1.5, 1.5)
+
+
+def induced_subgraph(g, nodes):
+    """The subgraph on nodes, relabelled 0..len(nodes)-1 in the given order."""
+    remap = {v: i for i, v in enumerate(nodes)}
+    sub = DynGraph(len(nodes), directed=g.directed, weighted=g.weighted)
+    for u, v, w in g.edges():
+        if u in remap and v in remap:
+            sub.insert_edge(remap[u], remap[v], w)
+    return sub
+
+
 def random_valid_batch(rng, g, size, allow_delete=True, allow_weight=True):
     """A random event list that apply_batch will accept: every event is
     consistent with the per-pair state produced by the events before it."""

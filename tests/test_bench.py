@@ -91,6 +91,19 @@ def test_load_rejects_bad_timestamp_with_file_and_line(tmp_path, stamp):
     assert f"{path}:2: " in str(err.value)
 
 
+def test_non_utf8_edge_list_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes("0 1\n1 2\n".encode("utf-16"))  # starts ff fe
+    with pytest.raises(ParseError) as err:
+        load_edge_list(str(path))
+    assert f"{path}:1: " in str(err.value)
+    with pytest.raises(SystemExit) as done:
+        cli_main(["exact", "--graph", str(path)])
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"dynbc: error: {path}:1: ") and "Traceback" not in err
+
+
 def test_load_rejects_non_finite_weights(tmp_path):
     for word in ("inf", "nan"):
         path = write(tmp_path, f"{word}.txt", f"0 1 1\n1 2 {word}\n")

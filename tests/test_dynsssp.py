@@ -178,11 +178,8 @@ def test_vis_recount_invariant():
             assert st.d1 >= finite[-1]
             if len(finite) > 1:
                 assert st.d1 + st.d2 >= finite[-1] + finite[-2]
-            fresh = DynSSSP.initial(g, st.source, VisCounters.zeros(n))
-            local_vd_estimate(g, st)
-            if st.reach > 1:  # a lone source scores 1 without a rescan
-                assert st.omega_min == fresh.omega_min
-                assert not st.vd_dirty
+            if st.reach > 1:  # a lone source scores 1
+                assert local_vd_estimate(g, st) == 1 + g.max_hops(st.d1 + st.d2)
         for v in range(n):
             expect = sum(1 for st in sources if st.d[v] != INF)
             assert vis.vis[v] == expect
@@ -200,22 +197,28 @@ def test_local_vd_estimate_arithmetic():
     gw.insert_edge(0, 1, 3.0)
     gw.insert_edge(0, 2, 2.0)
     stw = DynSSSP.initial(gw, 0, VisCounters.zeros(3))
-    # d1 = 3, d2 = 2, omega = 2
-    assert local_vd_estimate(gw, stw) == 1.0 + 5.0 / 2.0
+    # d1 = 3, d2 = 2, so L = 5; sorted weights 2, 3 sum to 2, 5 <= 5: two
+    # hops fit, and the bound is 1 + 2 = 3 (the exact VD, path 1-0-2)
+    assert local_vd_estimate(gw, stw) == 3.0 == exact_vertex_diameter(gw)
 
     lone = DynSSSP.initial(DynGraph(2), 0, VisCounters.zeros(2))
     assert local_vd_estimate(DynGraph(2), lone) == 1.0
 
 
 def test_estimate_explicit_values():
-    # d1=3, d2=2 with omega 0.5 gives 11
-    g = DynGraph(3, weighted=True)
+    # two light edges hang off the source: 0-3 (0.5) and 3-4 (0.5). d1 = 3
+    # (node 1), d2 = 2 (node 2), so L = 5. Sorted weights 0.5, 0.5, 2, 3 sum
+    # to 0.5, 1, 3, 6: three hops fit within 5 and four do not, so the bound
+    # is 1 + 3 = 4, the exact VD (path 1-0-3-4). Dividing by the lightest
+    # weight would have given 1 + 5 / 0.5 = 11.
+    g = DynGraph(5, weighted=True)
     g.insert_edge(0, 1, 3.0)
     g.insert_edge(0, 2, 2.0)
-    g.set_weight(0, 2, 2.0)
-    st = DynSSSP.initial(g, 0, VisCounters.zeros(3))
-    st.omega_min = 0.5  # pretend a cheaper edge exists elsewhere in the component
-    assert local_vd_estimate(g, st) == 11.0
+    g.insert_edge(0, 3, 0.5)
+    g.insert_edge(3, 4, 0.5)
+    st = DynSSSP.initial(g, 0, VisCounters.zeros(5))
+    assert (st.d1, st.d2) == (3.0, 2.0)
+    assert local_vd_estimate(g, st) == 4.0 == exact_vertex_diameter(g)
 
 
 def test_estimate_stays_above_component_vd_under_updates():

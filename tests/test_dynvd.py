@@ -11,12 +11,13 @@ from dynbc import (
     exact_vertex_diameter,
     generate,
     init_vd_tracker,
+    local_vd_estimate,
     update_vd_tracker,
     vd_upper_bound,
 )
 from dynbc.errors import InvalidParams
 
-from helpers import random_graph, random_valid_batch
+from helpers import induced_subgraph, random_graph, random_valid_batch, spread_weight
 
 
 def check_tracker(g, tracker):
@@ -134,9 +135,30 @@ def test_randomized_weighted_sequences():
             check_tracker(g, tr)
 
 
+def test_tracker_estimates_cover_each_component_vd():
+    rng = random.Random(60324)
+    for trial in range(80):
+        n = rng.randrange(6, 25)
+        g = random_graph(rng, n, avg_deg=1.3, weighted=True)
+        for u, v, _ in list(g.edges()):
+            g.set_weight(u, v, spread_weight(rng))
+        tr = init_vd_tracker(g)
+        for _ in range(4):
+            events = random_valid_batch(rng, g, rng.choice((1, 3, 6)))
+            for ev in events:
+                if ev.op != "delete":
+                    ev.weight = spread_weight(rng)
+            update_vd_tracker(g, tr, apply_batch(g, Batch(events)))
+            labels, _ = connected_components(g)
+            for st in tr.sources:
+                members = [v for v in range(n) if labels[v] == labels[st.source]]
+                comp = induced_subgraph(g, members)
+                assert local_vd_estimate(g, st) >= exact_vertex_diameter(comp)
+
+
 def test_static_bound_equals_tracker_bound():
     # both root one search at the lowest-index node of every component and
-    # score it 1 + (d1 + d2) / omega, so the values agree exactly
+    # score it from d1 + d2 by the same hop rule, so the values agree exactly
     rng = random.Random(60323)
     split = 0
     for weighted in (False, True):

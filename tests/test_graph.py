@@ -20,7 +20,7 @@ from dynbc.errors import (
     MissingEdge,
 )
 
-from helpers import random_graph, random_valid_batch, uf_components
+from helpers import random_graph, random_valid_batch, spread_weight, uf_components
 
 
 def test_edge_event_validation():
@@ -76,6 +76,36 @@ def test_graph_primitives():
         g.insert_edge(0, 7)
     g.delete_edge(0, 1)
     assert g.m == 0
+
+
+def test_max_hops_counts_the_lightest_weights():
+    g = DynGraph(4, weighted=True)
+    g.insert_edge(0, 1, 3.0)
+    g.insert_edge(1, 2, 1.0)
+    g.insert_edge(2, 3, 2.0)
+    # prefix sums of the sorted weights 1, 2, 3 are 1, 3, 6
+    assert [g.max_hops(x) for x in (0.0, 1.0, 2.9, 3.0, 5.9, 6.0, 100.0)] == [
+        0, 1, 1, 2, 2, 3, 3]
+    assert g.max_hops(3.0 * (1 - 1e-12)) == 2  # within REL_TOL of 3
+    unweighted = DynGraph(2)
+    unweighted.insert_edge(0, 1)
+    assert unweighted.max_hops(7) == 7 and unweighted._wsorted is None
+
+
+def test_sorted_weights_follow_every_mutation():
+    rng = random.Random(17)
+    for directed in (False, True):
+        g = random_graph(rng, 12, avg_deg=2.0, directed=directed, weighted=True)
+        assert g._wsorted is None
+        g.max_hops(0.0)
+        for _ in range(40):
+            events = random_valid_batch(rng, g, 3)
+            for ev in events:
+                if ev.op != "delete":
+                    ev.weight = spread_weight(rng)
+            apply_batch(g, Batch(events))
+            assert g._wsorted == sorted(w for *_, w in g.edges())
+        assert g.copy()._wsorted is None
 
 
 def test_directed_reverse_adjacency():

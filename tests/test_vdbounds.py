@@ -12,10 +12,11 @@ from dynbc import (
     vd_ub_unweighted_undirected,
     vd_ub_weighted_undirected,
     vd_upper_bound,
+    weakly_connected_components,
 )
 from dynbc.errors import InvalidParams, NotStronglyConnected
 
-from helpers import random_graph
+from helpers import random_graph, spread_weight
 
 
 def test_uu_path_endpoint_levels():
@@ -109,8 +110,10 @@ def test_w_examples():
     g.insert_edge(0, 1, 1.0)
     g.insert_edge(1, 2, 2.0)
     b = vd_ub_weighted_undirected(g)
-    assert b.value == 5 and b.kind == "W"
-    assert b.value >= exact_vertex_diameter(g) == 3
+    # from node 0: d1 = 3, d2 = 1, so L = 4; sorted weights 1, 2 sum to 1, 3
+    # <= 4, so both hops fit and the bound is 1 + 2 = 3, the exact VD
+    assert b.value == 3 and b.kind == "W"
+    assert b.value == exact_vertex_diameter(g) == 3
 
     single = DynGraph(2, weighted=True)
     single.insert_edge(0, 1, 5.0)
@@ -147,6 +150,21 @@ def test_scw_sound_on_random_instances():
     for _ in range(60):
         g = random_graph(rng, rng.randrange(3, 30), avg_deg=2.0, directed=True, weighted=True)
         assert vd_ub_directed_weighted(g).value >= exact_vertex_diameter(g)
+
+
+def test_weighted_bounds_sound_with_spread_weights():
+    # directed and undirected, sparse enough that many are disconnected,
+    # weights spread over three orders of magnitude
+    rng = random.Random(16)
+    disconnected = 0
+    for trial in range(400):
+        g = random_graph(rng, rng.randrange(3, 26), avg_deg=rng.choice((0.8, 1.5, 2.5)),
+                         directed=trial % 2 == 1, weighted=True)
+        for u, v, _ in list(g.edges()):
+            g.set_weight(u, v, spread_weight(rng))
+        disconnected += weakly_connected_components(g)[1] > 1
+        assert vd_upper_bound(g).value >= exact_vertex_diameter(g)
+    assert disconnected >= 100
 
 
 def test_dispatcher_picks_class():
