@@ -12,6 +12,7 @@ from .bc import (
     BCState,
     MODES,
     SampleRecord,
+    VDTracker,
     approximate_bc,
     init_bc,
     recount_scores,
@@ -38,7 +39,6 @@ from .dynsssp import (
     update_sssp_u,
     update_sssp_w,
 )
-from .dynvd import VDTracker, init_vd_tracker, update_vd_tracker
 from .exact import ExtendedSSSP, brandes_exact, compute_extended_sssp, predecessors
 from .graph import (
     DELETE,

@@ -8,22 +8,18 @@ update entry points keep the samples valid across batches of edge events.
 Every mode runs the same round: each sample's search is repaired, its path
 is kept or redrawn by one exact rule (see ``_update``) that leaves it
 uniform over the target's new shortest paths and draws nothing when the
-batch left them as they were, and the diameter bound is refreshed. Only the
-bound step differs:
+batch left them as they were, and the state's bound object is refreshed;
+if its bound asks for more samples, they are drawn and the scores
+renormalized. Only that object differs between the modes (``BOUNDS``):
 
-* ``ia`` / ``iaw`` (incremental, unweighted/weighted): only insertions and
-  weight decreases are allowed, and the bound is kept. The caller is
-  responsible for only using these modes when the vertex diameter cannot
-  grow.
-* ``dad`` / ``dadw`` (fully dynamic, any direction): the diameter bound is
-  recomputed from scratch and new samples are drawn, with score
-  renormalization, whenever the required sample count grows.
-* ``da`` / ``daw`` (combined, undirected only): like dad/dadw, but the
-  bound comes from the fully dynamic ``dynvd`` tracker instead of a static
-  recomputation: one ``DynSSSP`` per connected component, kept in
-  ``aux_sources`` with its own ``vis`` counters, refreshed after every
-  batch. The bound, and with it r, does not depend on which sources were
-  sampled.
+* ``ia`` / ``iaw`` (incremental), ``KeptBound``: only insertions and weight
+  decreases are allowed, and the bound is kept. The caller is responsible
+  for only using these modes when the vertex diameter cannot grow.
+* ``dad`` / ``dadw`` (fully dynamic, any direction), ``StaticBound``: the
+  static bound is recomputed from scratch.
+* ``da`` / ``daw`` (combined, undirected only), ``VDTracker``: the fully
+  dynamic diameter tracker, one search per connected component. Its bound,
+  and with it r, does not depend on which sources were sampled.
 
 Per-sample updates are independent given split random streams (stream
 coordinates are (seed, domain, [round,] index)), so identical inputs give
@@ -33,9 +29,11 @@ semantics, used here, are sequential in sample order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dynsssp import DynSSSP, VisCounters, local_vd_estimate, update_sssp
+# vd_upper_bound and local_vd_estimate are called through this module's
+# names, which perfbench/tracing.py patches to time and count them.
+from .dynsssp import VisCounters, local_vd_estimate, update_sssp
 from .dynvd import cover, refresh_sources
 from .errors import DeletionInIncrementalMode, InvalidParams
 from .exact import ExtendedSSSP, compute_extended_sssp
@@ -43,8 +41,6 @@ from .graph import INSERT, SET_WEIGHT, dist_eq
 from .rng import stream
 from .sampling import SampledPath, sample_pair, sample_path, sample_size
 from .vdbounds import vd_upper_bound
-
-MODES = ("ia", "iaw", "dad", "dadw", "da", "daw")
 
 _SAMPLE_DOMAIN = 1
 _RESAMPLE_DOMAIN = 2
@@ -58,6 +54,62 @@ class SampleRecord:
     path: SampledPath
 
 
+class StaticBound:
+    """``dad``/``dadw`` and the static runner: ``vd_upper_bound``,
+    recomputed every round. Each bound object holds its bound in ``bound``,
+    computed at construction unless given; ``refresh(g, events)``, called
+    after each round's sample repairs, returns the new bound or None."""
+
+    __slots__ = ("bound",)
+
+    def __init__(self, g, bound=None):
+        self.bound = vd_upper_bound(g).value if bound is None else bound
+
+    def refresh(self, g, events):
+        self.bound = vd_upper_bound(g).value
+        return self.bound
+
+
+class KeptBound(StaticBound):
+    """``ia``/``iaw``: the first bound is kept, and with it r."""
+
+    __slots__ = ()
+
+    def refresh(self, g, events):
+        return None
+
+
+class VDTracker:
+    """``da``/``daw`` (undirected only): one ``DynSSSP`` per component,
+    rooted at its lowest node and kept by ``dynvd``. The bound is the max of
+    their ``local_vd_estimate``; at construction it equals the static one."""
+
+    __slots__ = ("sources", "vis", "bound")
+
+    def __init__(self, g, bound=None):
+        if g.directed:
+            raise InvalidParams("the tracker handles undirected graphs")
+        self.vis = VisCounters.zeros(g.n)
+        self.sources = cover(g, self.vis, range(g.n))
+        self.bound = self._estimate(g) if bound is None else bound
+
+    def _estimate(self, g):
+        return max((local_vd_estimate(g, st) for st in self.sources), default=1.0)
+
+    def refresh(self, g, events):
+        self.sources = refresh_sources(g, self.sources, self.vis, events)
+        self.bound = self._estimate(g)
+        return self.bound
+
+
+BOUNDS = {  # mode -> bound object class
+    "ia": KeptBound, "iaw": KeptBound,
+    "dad": StaticBound, "dadw": StaticBound,
+    "da": VDTracker, "daw": VDTracker,
+}
+MODES = tuple(BOUNDS)
+
+
 @dataclass
 class BCState:
     """Scores plus everything needed to keep them valid under updates."""
@@ -68,10 +120,16 @@ class BCState:
     scores: list[float]
     r: int
     samples: list[SampleRecord]
-    aux_sources: list[DynSSSP] = field(default_factory=list)  # da/daw tracker
-    vis: VisCounters | None = None  # the tracker's counters
-    vd_bound: float = 1.0
+    bound: StaticBound | VDTracker  # see BOUNDS
     round: int = 0
+
+    @property
+    def vd_bound(self):
+        return self.bound.bound
+
+    @property
+    def aux_sources(self):  # only for perfbench/run.py, which reads its len
+        return getattr(self.bound, "sources", [])
 
 
 def scores(state):
@@ -123,18 +181,17 @@ def approximate_bc(g, params):
     """
     if g.n < 2:
         raise InvalidParams("need at least two nodes")
-    bound = vd_upper_bound(g).value
-    state = BCState(g.n, "static", params, [0.0] * g.n, 0, [], vd_bound=bound)
-    _add_samples(g, state, sample_size(bound, params))
+    state = BCState(g.n, "static", params, [0.0] * g.n, 0, [], StaticBound(g))
+    _add_samples(g, state, sample_size(state.vd_bound, params))
     return state
 
 
 def init_bc(g, params, mode, vd_bound=None):
     """Initialize a dynamic score state in the given mode.
 
-    ``vd_bound`` overrides the computed bound (useful for experiments that
-    need two modes to agree on the sample count). da/daw root the ``dynvd``
-    tracker, one search per component; its bound equals ``vd_upper_bound``.
+    The first bound, and with it r, comes from ``BOUNDS[mode]``.
+    ``vd_bound`` overrides it, and is then not computed (useful for
+    experiments that need two modes to agree on the sample count).
     """
     if mode not in MODES:
         raise InvalidParams(f"unknown mode {mode!r}")
@@ -146,29 +203,9 @@ def init_bc(g, params, mode, vd_bound=None):
     if mode in ("da", "daw") and g.directed:
         raise InvalidParams(f"mode {mode!r} needs an undirected graph")
 
-    state = BCState(g.n, mode, params, [0.0] * g.n, 0, [], vd_bound=vd_bound)
-    if mode in ("da", "daw"):
-        state.vis = VisCounters.zeros(g.n)
-        state.aux_sources = cover(g, state.vis, range(g.n))
-        if vd_bound is None:
-            state.vd_bound = _tracker_bound(g, state)
-    elif vd_bound is None:
-        state.vd_bound = vd_upper_bound(g).value
+    state = BCState(g.n, mode, params, [0.0] * g.n, 0, [], BOUNDS[mode](g, vd_bound))
     _add_samples(g, state, sample_size(state.vd_bound, params))
     return state
-
-
-def _tracker_bound(g, state):
-    return max(
-        (local_vd_estimate(g, st) for st in state.aux_sources), default=1.0
-    )
-
-
-def _require_mode(state, allowed):
-    if state.mode not in allowed:
-        raise InvalidParams(
-            f"state mode {state.mode!r} not usable here (need one of {allowed})"
-        )
 
 
 def _directions(events):
@@ -204,9 +241,9 @@ def _has_length(g, path, length, weights):
 
 def _update(g, state, events, allowed):
     """One update round for a state whose mode is in ``allowed``: repair
-    every sample search, keep or redraw each path, refresh the bound the
-    mode keeps, and grow the sample set if the bound now asks for more
-    samples. ``events`` are ``apply_batch``'s effective events.
+    every sample search, keep or redraw each path, refresh the state's
+    bound object, and grow the sample set if the bound it returns asks for
+    more samples. ``events`` are ``apply_batch``'s effective events.
 
     Keep or redraw. Let P and P' be the target's shortest paths before and
     after the batch, sigma = |P|, sigma' = |P'|, and q = |P & P'|; the
@@ -233,10 +270,12 @@ def _update(g, state, events, allowed):
     decremental batch with d[t] unchanged has P' <= P: every draw is old,
     and accepting the first one gives each x 1/sigma + (1/sigma' - 1/sigma)
     = 1/sigma' as well. An unreachable target gets the empty path."""
-    _require_mode(state, allowed)
-    mode = state.mode
+    if state.mode not in allowed:
+        raise InvalidParams(
+            f"state mode {state.mode!r} not usable here (need one of {allowed})"
+        )
     directions = _directions(events)
-    if mode in ("ia", "iaw") and 1 in directions:
+    if state.mode in ("ia", "iaw") and 1 in directions:
         raise DeletionInIncrementalMode(
             "batch contains a deletion or a weight increase"
         )
@@ -275,17 +314,9 @@ def _update(g, state, events, allowed):
         rec.path = path
         for v in path.internal:
             add[v] += inv
-    if mode in ("dad", "dadw"):
-        state.vd_bound = vd_upper_bound(g).value
-    elif mode in ("da", "daw"):
-        state.aux_sources = refresh_sources(
-            g, state.aux_sources, state.vis, events
-        )
-        state.vd_bound = _tracker_bound(g, state)
-    if mode not in ("ia", "iaw"):
-        r_new = sample_size(state.vd_bound, params)
-        if r_new > state.r:  # extra samples only ever tighten the estimate
-            _add_samples(g, state, r_new)
+    bound = state.bound.refresh(g, events)  # None keeps the bound and r
+    if bound is not None and (r_new := sample_size(bound, params)) > state.r:
+        _add_samples(g, state, r_new)  # more samples only tighten the estimate
     state.round += 1
     return state
 
@@ -299,14 +330,14 @@ def update_incremental(g, state, events):
 
 
 def update_fully_dynamic(g, state, events):
-    """dad/dadw update: after the sample repair the bound is recomputed
-    from scratch with the static class bound."""
+    """dad/dadw update: after the sample repair, ``StaticBound`` recomputes
+    the bound from scratch with the static class bound."""
     return _update(g, state, events, ("dad", "dadw"))
 
 
 def update_combined(g, state, events):
-    """da/daw update: the ``dynvd`` tracker is refreshed, and the bound is
-    the max of its per-component estimates."""
+    """da/daw update: after the sample repair, the ``VDTracker`` is
+    refreshed, and the bound is the max of its per-component estimates."""
     return _update(g, state, events, ("da", "daw"))
 
 

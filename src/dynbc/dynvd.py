@@ -6,24 +6,13 @@ redundant) and splits (nodes whose count drops to zero seed new sources), so
 after every update round the tracker again holds exactly one source per
 component and every node is counted once.
 
-``cover`` and ``refresh_sources`` are the only code that roots, drops and
-re-roots such searches. ``VDTracker`` here and the combined score modes
-(``da`` / ``daw`` in ``bc``, which set their bound from it) use them.
+``cover`` and ``refresh_sources`` root, drop and re-root such searches for
+``bc.VDTracker``, the bound object of the ``da`` / ``daw`` modes.
 """
 
 from __future__ import annotations
 
-from .dynsssp import DynSSSP, VisCounters, local_vd_estimate, update_sssp
-from .errors import InvalidParams
-
-
-class VDTracker:
-    __slots__ = ("sources", "vis", "bound")
-
-    def __init__(self, sources, vis, bound):
-        self.sources = sources
-        self.vis = vis
-        self.bound = bound
+from .dynsssp import DynSSSP, update_sssp
 
 
 def cover(g, vis, candidates):
@@ -57,24 +46,3 @@ def refresh_sources(g, sources, vis, events):
     kept += cover(g, vis, sorted(set(vis.U)))
     vis.U.clear()
     return kept
-
-
-def init_vd_tracker(g):
-    """Scan nodes in index order, rooting a tracked search at every node not
-    yet covered; the bound is the max of the per-component estimates."""
-    if g.directed:
-        raise InvalidParams("the tracker handles undirected graphs")
-    vis = VisCounters.zeros(g.n)
-    sources = cover(g, vis, range(g.n))
-    bound = max((local_vd_estimate(g, st) for st in sources), default=1.0)
-    return VDTracker(sources, vis, bound)
-
-
-def update_vd_tracker(g, tracker, events):
-    """Refresh the tracker after a batch already applied to g (see
-    refresh_sources). Returns the new bound."""
-    tracker.sources = refresh_sources(g, tracker.sources, tracker.vis, events)
-    tracker.bound = max(
-        (local_vd_estimate(g, st) for st in tracker.sources), default=1.0
-    )
-    return tracker.bound

@@ -3,6 +3,7 @@ instance builders. The oracles deliberately avoid the production search code
 paths (path enumeration instead of Dijkstra/BFS machinery) so mismatches
 point at real defects."""
 
+import hashlib
 import random
 
 from dynbc import DynGraph, EdgeEvent, dist_eq
@@ -159,6 +160,22 @@ def random_valid_batch(rng, g, size, allow_delete=True, allow_weight=True):
             events.append(EdgeEvent(k[0], k[1], "insert", w))
             state[k] = True
     return events
+
+
+def state_digest(state):
+    """sha256 over the repr of a dynamic score state: mode, r, bound, round
+    and scores; each sample's pair, distances, path counts and path; and
+    each diameter-tracker search's source, distances, path counts, reach
+    and top-two distances. Equal digests mean bit-identical states."""
+    data = [state.mode, state.r, state.vd_bound, state.round, state.scores]
+    for rec in state.samples:
+        p = rec.path
+        data.append((rec.s, rec.t, rec.sssp.d, rec.sssp.sigma, p.internal, p.empty))
+    for st in state.aux_sources:
+        data.append(
+            (st.source, st.d, st.sigma, st.reach, st.d1, st.n1, st.d2, st.n2)
+        )
+    return hashlib.sha256(repr(data).encode()).hexdigest()
 
 
 def diamond():

@@ -20,6 +20,7 @@ from dynbc import (
     EdgeEvent,
     INF,
     SamplingParams,
+    VDTracker,
     apply_batch,
     approximate_bc,
     brandes_exact,
@@ -29,14 +30,12 @@ from dynbc import (
     exact_vertex_diameter,
     generate,
     init_bc,
-    init_vd_tracker,
     rank_error,
     recount_scores,
     sample_path,
     scores,
     update_bc,
     update_sssp,
-    update_vd_tracker,
     vd_ub_directed,
     vd_ub_directed_weighted,
     vd_ub_strongly_connected,
@@ -294,11 +293,11 @@ def test_criterion_6_dynamic_vd_tracker():
         n = rng.randrange(6, 61)
         weighted = trial % 3 == 0
         g = random_graph(rng, n, avg_deg=1.2, weighted=weighted)
-        tracker = init_vd_tracker(g)
+        tracker = VDTracker(g)
         for _ in range(3):
             events = random_valid_batch(rng, g, rng.choice((1, 4, 8)))
             eff = apply_batch(g, Batch(events))
-            bound = update_vd_tracker(g, tracker, eff)
+            bound = tracker.refresh(g, eff)
             batches_total += 1
             assert all(x == 1 for x in tracker.vis.vis)
             labels, count = connected_components(g)

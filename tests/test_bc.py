@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -11,8 +12,8 @@ from dynbc import (
     EdgeEvent,
     ExtendedSSSP,
     INF,
+    MODES,
     SamplingParams,
-    VisCounters,
     apply_batch,
     approximate_bc,
     brandes_exact,
@@ -32,18 +33,24 @@ from dynbc import (
     update_incremental,
     vd_upper_bound,
 )
-from dynbc.bc import BCState, SampleRecord, _SAMPLE_DOMAIN
-from dynbc.dynvd import cover
+import dynbc.bc
+from dynbc.bc import BOUNDS, BCState, SampleRecord, _SAMPLE_DOMAIN
 from dynbc.errors import DeletionInIncrementalMode, InvalidParams
 from dynbc.rng import stream
 
-from helpers import CHI2_CRIT_1E3, all_min_paths, random_graph, random_valid_batch
+from helpers import (
+    CHI2_CRIT_1E3,
+    all_min_paths,
+    random_graph,
+    random_valid_batch,
+    state_digest,
+)
 
 
 def forced_state(g, params, mode, pairs, vd_bound=None):
     """Assemble a score state with hand-picked sample pairs (white box).
-    Samples and, for da/daw, the diameter tracker are built as init_bc
-    builds them."""
+    Samples and the mode's bound object are built as init_bc builds them,
+    the bound overridden by vd_bound (default n)."""
     r = len(pairs)
     vals = [0.0] * g.n
     samples = []
@@ -61,11 +68,8 @@ def forced_state(g, params, mode, pairs, vd_bound=None):
         vals,
         r,
         samples,
-        vd_bound=vd_bound if vd_bound is not None else float(g.n),
+        BOUNDS[mode](g, vd_bound if vd_bound is not None else float(g.n)),
     )
-    if mode in ("da", "daw"):
-        state.vis = VisCounters.zeros(g.n)
-        state.aux_sources = cover(g, state.vis, range(g.n))
     return state
 
 
@@ -95,11 +99,11 @@ def test_init_combined_connected_graph_needs_no_aux():
     g = generate("dorogovtsev-mendes", n=40, seed=2)
     params = SamplingParams(0.3, 0.3, seed=1)
     st = init_bc(g, params, "da")
-    assert [aux.source for aux in st.aux_sources] == [0]
-    assert all(v == 1 for v in st.vis.vis)
+    assert [aux.source for aux in st.bound.sources] == [0]
+    assert all(v == 1 for v in st.bound.vis.vis)
     # samples keep plain searches; only the tracker's are DynSSSPs
     assert all(type(rec.sssp) is ExtendedSSSP for rec in st.samples)
-    assert all(type(aux) is DynSSSP for aux in st.aux_sources)
+    assert all(type(aux) is DynSSSP for aux in st.bound.sources)
     static = approximate_bc(g, params)
     assert static.samples and all(rec.sssp is None for rec in static.samples)
 
@@ -118,9 +122,9 @@ def test_init_combined_uncovered_component_gets_aux_source():
             found = st
             break
     assert found is not None, "no seed left the 2-node component unsampled"
-    assert len(found.aux_sources) >= 1
-    assert any(aux.d[18] != INF for aux in found.aux_sources)
-    assert all(v >= 1 for v in found.vis.vis)
+    assert len(found.bound.sources) >= 1
+    assert any(aux.d[18] != INF for aux in found.bound.sources)
+    assert all(v >= 1 for v in found.bound.vis.vis)
 
 
 def test_scores_snapshot_and_sum_rule():
@@ -385,17 +389,82 @@ def test_combined_pure_insertions_equal_incremental():
     assert st_ia.r == st_da.r
 
 
+def _kept_bound_cases(mode):
+    """A graph for mode and one batch that raises its vertex diameter past
+    the bound kept at init. iaw: a chain 0..119 of weight 1 plus hub 120
+    joined to every chain node; lowering the chain weights to 0.01 takes
+    the exact VD from 3 to 120 (init bound 5). ia: two 65-node paths joined
+    by edge (64, 65); the exact VD goes to 130 (init bound 128)."""
+    if mode == "iaw":
+        g = DynGraph(121, weighted=True)
+        for i in range(119):
+            g.insert_edge(i, i + 1, 1.0)
+        for i in range(120):
+            g.insert_edge(120, i, 1.0)
+        return g, [EdgeEvent(i, i + 1, "set-weight", 0.01) for i in range(119)]
+    g = DynGraph(130)
+    for i in range(129):
+        if i != 64:
+            g.insert_edge(i, i + 1)
+    return g, [EdgeEvent(64, 65)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ia/iaw keep their init bound, which the VD can outgrow",
+)
+@pytest.mark.parametrize("mode", ("ia", "iaw"))
+def test_incremental_bound_covers_vertex_diameter(mode):
+    g, events = _kept_bound_cases(mode)
+    params = SamplingParams(0.1, 0.1)
+    st = init_bc(g, params, mode)
+    update_bc(g, st, apply_batch(g, Batch(events)))
+    vd = exact_vertex_diameter(g)
+    assert st.vd_bound >= vd
+    assert st.r >= sample_size(vd, params)
+
+
+@pytest.mark.parametrize("mode", ("ia", "dad", "da"))
+def test_bound_calls_go_through_bc_names(mode, monkeypatch):
+    # perfbench/tracing.py counts the bound's work by patching these two
+    # names in dynbc.bc; work done through any other name would count as 0
+    calls = Counter()
+    for name in ("vd_upper_bound", "local_vd_estimate"):
+        orig = getattr(dynbc.bc, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(dynbc.bc, name, counted)
+    rng = random.Random(808)
+    g = random_graph(rng, 30, avg_deg=1.2)
+    st = init_bc(g, SamplingParams(0.3, 0.3, seed=1), mode)
+    assert len(st.aux_sources) > 1 if mode == "da" else not st.aux_sources
+    for _ in range(4):
+        events = random_valid_batch(rng, g, 3, allow_delete=mode != "ia")
+        calls.clear()
+        update_bc(g, st, apply_batch(g, Batch(events)))
+        want = {
+            "ia": {},
+            "dad": {"vd_upper_bound": 1},
+            "da": {"local_vd_estimate": len(st.aux_sources)},
+        }[mode]
+        assert calls == Counter(want)
+
+
 def test_combined_split_grows_aux_sources():
     g = generate("path", n=8)
     params = SamplingParams(0.5, 0.5, seed=2)
     st = forced_state(g, params, "da", [(0, 2), (1, 3)], vd_bound=8.0)
-    assert [aux.source for aux in st.aux_sources] == [0]
+    assert [aux.source for aux in st.bound.sources] == [0]
     eff = apply_batch(g, [EdgeEvent(5, 6, "delete")])
     update_combined(g, st, eff)
     # the split-off half {6, 7} gets its own search, rooted at its lowest node
-    assert [aux.source for aux in st.aux_sources] == [0, 6]
-    assert [aux.reach for aux in st.aux_sources] == [6, 2]
-    assert all(v == 1 for v in st.vis.vis)
+    assert [aux.source for aux in st.bound.sources] == [0, 6]
+    assert [aux.reach for aux in st.bound.sources] == [6, 2]
+    assert all(v == 1 for v in st.bound.vis.vis)
     assert st.vd_bound >= exact_vertex_diameter(g)
 
 
@@ -406,11 +475,11 @@ def test_combined_merge_drops_annexed_aux_source():
     g.insert_edge(2, 3)
     params = SamplingParams(0.5, 0.5, seed=3)
     st = forced_state(g, params, "da", [(0, 1)])
-    assert [aux.source for aux in st.aux_sources] == [0, 2]
+    assert [aux.source for aux in st.bound.sources] == [0, 2]
     eff = apply_batch(g, [EdgeEvent(1, 2)])
     update_combined(g, st, eff)
-    assert [aux.source for aux in st.aux_sources] == [0]
-    assert all(v == 1 for v in st.vis.vis)
+    assert [aux.source for aux in st.bound.sources] == [0]
+    assert all(v == 1 for v in st.bound.vis.vis)
 
 
 def _combined_stream(rng, mode, n):
@@ -456,10 +525,10 @@ def test_combined_tracker_invariants_through_update_bc():
             update_bc(g, st, apply_batch(g, Batch(list(events))))
             batches_seen += 1
             labels, count = connected_components(g)
-            assert sorted(labels[aux.source] for aux in st.aux_sources) == list(
+            assert sorted(labels[aux.source] for aux in st.bound.sources) == list(
                 range(count)
             )
-            assert all(v == 1 for v in st.vis.vis)
+            assert all(v == 1 for v in st.bound.vis.vis)
             assert st.vd_bound >= exact_vertex_diameter(g)
     assert batches_seen == 400
 
@@ -486,6 +555,52 @@ def test_combined_matches_fully_dynamic_on_encoded_graph():
     update_combined(und, st_da, eff_und)
     update_fully_dynamic(enc, st_dad, eff_enc)
     assert scores(st_da) == scores(st_dad)
+
+
+# One digest per mode over the six states of a seeded five-batch stream,
+# taken before the bound step moved into one object per mode. A change to
+# any state in any mode shows here.
+PINNED_DIGESTS = {
+    "ia": "e90d5b5af0ca574e7cd8489fad7549fd875a0fc30dff40b20b2a45b8253b6309",
+    "iaw": "cded4c7a411d084092d25d696c6f13e6add7fb8812e33908dc5db33c256e23d7",
+    "dad": "1e8e5db45e9589c6a49bb839538450c057aacfa655cec00965b748f2f8f51b50",
+    "dadw": "ba7b9980a8b50c0b0e1308fdc9b225367c3bda4d3607acbbdc466977709cb8e4",
+    "da": "f6d7433212056093cdd890bfe056990c4cf7038c4c546fe0b0ca15d9cafd4fc0",
+    "daw": "e5ccb7701aa78eec3352ddf640c6742e196342f02f957773d71fb8e09acf7ba3",
+}
+
+
+def _stream_digest(mode, seed):
+    """Init on a random graph for mode (directed for ia, dad and dadw), then
+    five random batches (insertions only in ia/iaw), and hash the digest of
+    every state on the way."""
+    rng = random.Random(seed)
+    incremental = mode in ("ia", "iaw")
+    g = random_graph(
+        rng,
+        24,
+        avg_deg=1.4,
+        directed=mode in ("ia", "dad", "dadw"),
+        weighted=mode in ("iaw", "dadw", "daw"),
+    )
+    st = init_bc(g, SamplingParams(0.25, 0.2, seed=seed), mode)
+    digests = [state_digest(st)]
+    for _ in range(5):
+        events = random_valid_batch(
+            rng,
+            g,
+            rng.choice((1, 3, 6)),
+            allow_delete=not incremental,
+            allow_weight=not incremental,
+        )
+        update_bc(g, st, apply_batch(g, Batch(events)))
+        digests.append(state_digest(st))
+    return hashlib.sha256(" ".join(digests).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_states_match_pinned_digests(mode):
+    assert _stream_digest(mode, 1700 + MODES.index(mode)) == PINNED_DIGESTS[mode]
 
 
 def test_update_bc_dispatch_and_recount():
@@ -534,8 +649,8 @@ def test_sampled_paths_stay_shortest_after_updates():
                     assert g.has_edge(a, b)
                     total += g.edge_weight(a, b)
                 assert dist_eq(total, fresh.d[rec.t])
-            for aux in st.aux_sources:
-                assert st.vis.vis[aux.source] == 1
+            for aux in st.bound.sources:
+                assert st.bound.vis.vis[aux.source] == 1
 
 
 def test_identical_inputs_give_identical_states():

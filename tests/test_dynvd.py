@@ -9,10 +9,9 @@ from dynbc import (
     apply_batch,
     connected_components,
     exact_vertex_diameter,
+    VDTracker,
     generate,
-    init_vd_tracker,
     local_vd_estimate,
-    update_vd_tracker,
     vd_upper_bound,
 )
 from dynbc.errors import InvalidParams
@@ -30,7 +29,7 @@ def check_tracker(g, tracker):
 
 def test_init_connected_graph_has_one_source():
     g = generate("dorogovtsev-mendes", n=30, seed=1)
-    tr = init_vd_tracker(g)
+    tr = VDTracker(g)
     assert len(tr.sources) == 1
     check_tracker(g, tr)
 
@@ -40,7 +39,7 @@ def test_init_one_source_per_component():
     g.insert_edge(0, 1)
     g.insert_edge(3, 4)
     g.insert_edge(6, 7)
-    tr = init_vd_tracker(g)
+    tr = VDTracker(g)
     assert len(tr.sources) == 6  # three edges plus isolated nodes 2, 5, 8
     check_tracker(g, tr)
 
@@ -51,7 +50,7 @@ def test_init_bound_p5_union_p3():
         g.insert_edge(i, i + 1)
     g.insert_edge(5, 6)
     g.insert_edge(6, 7)
-    tr = init_vd_tracker(g)
+    tr = VDTracker(g)
     assert tr.bound >= 5
     assert tr.bound == 8  # endpoint source on the P5 side: 1 + 4 + 3
     check_tracker(g, tr)
@@ -59,36 +58,36 @@ def test_init_bound_p5_union_p3():
 
 def test_directed_graph_rejected():
     with pytest.raises(InvalidParams):
-        init_vd_tracker(DynGraph(3, directed=True))
+        VDTracker(DynGraph(3, directed=True))
 
 
 def test_merge_drops_redundant_source():
     g = DynGraph(4)
     g.insert_edge(0, 1)
     g.insert_edge(2, 3)
-    tr = init_vd_tracker(g)
+    tr = VDTracker(g)
     assert len(tr.sources) == 2
     eff = apply_batch(g, [EdgeEvent(1, 2)])
-    update_vd_tracker(g, tr, eff)
+    tr.refresh(g, eff)
     assert len(tr.sources) == 1
     check_tracker(g, tr)
 
 
 def test_split_creates_new_source():
     g = generate("path", n=6)
-    tr = init_vd_tracker(g)
+    tr = VDTracker(g)
     eff = apply_batch(g, [EdgeEvent(2, 3, "delete")])
-    update_vd_tracker(g, tr, eff)
+    tr.refresh(g, eff)
     assert len(tr.sources) == 2
     check_tracker(g, tr)
 
 
 def test_untouched_component_structure_keeps_sources():
     g = generate("cycle", n=6)
-    tr = init_vd_tracker(g)
+    tr = VDTracker(g)
     before = [st.source for st in tr.sources]
     eff = apply_batch(g, [EdgeEvent(0, 3)])  # chord: no component change
-    update_vd_tracker(g, tr, eff)
+    tr.refresh(g, eff)
     assert [st.source for st in tr.sources] == before
     check_tracker(g, tr)
 
@@ -100,10 +99,10 @@ def test_merge_plus_split_in_one_batch_keeps_coverage():
     g.insert_edge(0, 1)
     g.insert_edge(1, 2)
     g.insert_edge(3, 4)
-    tr = init_vd_tracker(g)
+    tr = VDTracker(g)
     assert [st.source for st in tr.sources] == [0, 3]
     eff = apply_batch(g, [EdgeEvent(1, 3), EdgeEvent(1, 2, "delete")])
-    update_vd_tracker(g, tr, eff)
+    tr.refresh(g, eff)
     check_tracker(g, tr)
 
 
@@ -112,12 +111,12 @@ def test_randomized_merge_split_sequences():
     for trial in range(200):
         n = rng.randrange(6, 40)
         g = random_graph(rng, n, avg_deg=1.2)
-        tr = init_vd_tracker(g)
+        tr = VDTracker(g)
         check_tracker(g, tr)
         for _ in range(3):
             events = random_valid_batch(rng, g, rng.choice((1, 3, 6)))
             eff = apply_batch(g, Batch(events))
-            bound = update_vd_tracker(g, tr, eff)
+            bound = tr.refresh(g, eff)
             assert bound == tr.bound
             check_tracker(g, tr)
 
@@ -127,11 +126,11 @@ def test_randomized_weighted_sequences():
     for trial in range(100):
         n = rng.randrange(6, 30)
         g = random_graph(rng, n, avg_deg=1.3, weighted=True)
-        tr = init_vd_tracker(g)
+        tr = VDTracker(g)
         for _ in range(3):
             events = random_valid_batch(rng, g, rng.choice((2, 5)))
             eff = apply_batch(g, Batch(events))
-            update_vd_tracker(g, tr, eff)
+            tr.refresh(g, eff)
             check_tracker(g, tr)
 
 
@@ -142,13 +141,13 @@ def test_tracker_estimates_cover_each_component_vd():
         g = random_graph(rng, n, avg_deg=1.3, weighted=True)
         for u, v, _ in list(g.edges()):
             g.set_weight(u, v, spread_weight(rng))
-        tr = init_vd_tracker(g)
+        tr = VDTracker(g)
         for _ in range(4):
             events = random_valid_batch(rng, g, rng.choice((1, 3, 6)))
             for ev in events:
                 if ev.op != "delete":
                     ev.weight = spread_weight(rng)
-            update_vd_tracker(g, tr, apply_batch(g, Batch(events)))
+            tr.refresh(g, apply_batch(g, Batch(events)))
             labels, _ = connected_components(g)
             for st in tr.sources:
                 members = [v for v in range(n) if labels[v] == labels[st.source]]
@@ -166,5 +165,5 @@ def test_static_bound_equals_tracker_bound():
             n = rng.randrange(4, 40)
             g = random_graph(rng, n, avg_deg=1.0, weighted=weighted)
             split += connected_components(g)[1] > 1
-            assert vd_upper_bound(g).value == init_vd_tracker(g).bound
+            assert vd_upper_bound(g).value == VDTracker(g).bound
     assert split > 100
