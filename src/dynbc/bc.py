@@ -2,15 +2,15 @@
 
 A score state holds r sampled (pair, search, path) triples; each node's
 score is the fraction of sampled paths it is internal to. A dynamic state's
-search is a plain full ``ExtendedSSSP`` (distances and path counts only).
-The static runner draws the samples once and keeps only the paths. The
-update entry points keep the samples valid across batches of edge events.
-Every mode runs the same round: each sample's search is repaired, its path
-is kept or redrawn by one exact rule (see ``_update``) that leaves it
-uniform over the target's new shortest paths and draws nothing when the
-batch left them as they were, and the state's bound object is refreshed;
-if its bound asks for more samples, they are drawn and the scores
-renormalized. Only that object differs between the modes (``BOUNDS``):
+search is a plain full ``ExtendedSSSP`` (distances and path counts only);
+samples drawn together from one source share it. The static runner draws
+the samples once and keeps only the paths. The update entry points keep the
+samples valid across batches of edge events. Every mode runs the same
+round: each distinct search is repaired once, each sample's path is kept
+or redrawn by one exact rule (see ``_update``) that leaves it uniform over
+the target's new shortest paths and draws nothing when the batch left them
+as they were, and the state's bound object is refreshed; if its bound asks
+for more samples, they are drawn and the scores renormalized. Only that object differs between the modes (``BOUNDS``):
 
 * ``ia`` / ``iaw`` (incremental), ``KeptBound``: only insertions and weight
   decreases are allowed, and the bound is kept. The caller is responsible
@@ -152,8 +152,10 @@ def _add_samples(g, state, r_new):
     """Draw samples len(samples)..r_new-1, credit them at 1/r_new and set
     the sample count to r_new. Existing mass is rescaled to the new rate
     first. A dynamic state keeps each full search so later updates repair
-    it; the static runner stops each search at its target, which is all the
-    path draw reads, and stores only the path."""
+    it; samples drawn in one call from one source share a search, never an
+    older one, whose repaired distances may differ from a fresh search's in
+    the last bits. The static runner stops each search at its target, which
+    is all the path draw reads, and stores only the path."""
     keep_state = state.mode != "static"
     params = state.params
     samples = state.samples
@@ -162,10 +164,14 @@ def _add_samples(g, state, r_new):
         state.scores = [x * factor for x in state.scores]
     inv = 1.0 / r_new
     add = state.scores
+    searches = {}  # source -> the full search its samples share
     for idx in range(len(samples), r_new):
         rng = stream(params.seed, _SAMPLE_DOMAIN, idx)
         s, t = sample_pair(g.n, rng)
-        sssp = compute_extended_sssp(g, s, stop_at=None if keep_state else t)
+        if not keep_state:
+            sssp = compute_extended_sssp(g, s, stop_at=t)
+        elif (sssp := searches.get(s)) is None:
+            sssp = searches[s] = compute_extended_sssp(g, s)
         path = sample_path(g, sssp, t, rng)
         samples.append(SampleRecord(s, t, sssp if keep_state else None, path))
         for v in path.internal:
@@ -240,10 +246,11 @@ def _has_length(g, path, length, weights):
 
 
 def _update(g, state, events, allowed):
-    """One update round for a state whose mode is in ``allowed``: repair
-    every sample search, keep or redraw each path, refresh the state's
-    bound object, and grow the sample set if the bound it returns asks for
-    more samples. ``events`` are ``apply_batch``'s effective events.
+    """One update round for a state whose mode is in ``allowed``: read each
+    sample's d[t] and sigma[t], repair each distinct search once (samples
+    may share one), keep or redraw each path in index order, refresh the
+    state's bound object, and grow the sample set if its bound asks for
+    more. ``events`` are ``apply_batch``'s effective events.
 
     Keep or redraw. Let P and P' be the target's shortest paths before and
     after the batch, sigma = |P|, sigma' = |P'|, and q = |P & P'|; the
@@ -287,12 +294,13 @@ def _update(g, state, events, allowed):
     params = state.params
     inv = 1.0 / state.r
     add = state.scores
-    for i, rec in enumerate(state.samples):
+    samples = state.samples
+    old = [(rec.sssp.d[rec.t], rec.sssp.sigma[rec.t]) for rec in samples]
+    for st in {id(rec.sssp): rec.sssp for rec in samples}.values():
+        update_sssp(g, st, events)
+    for i, (rec, (d_old, sig_old)) in enumerate(zip(samples, old)):
         st = rec.sssp
         t = rec.t
-        d_old = st.d[t]
-        sig_old = st.sigma[t]
-        update_sssp(g, st, events)
         sig_new = st.sigma[t]
         same_d = dist_eq(st.d[t], d_old)
         if monotone and same_d and sig_new == sig_old:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .errors import InconsistentState, InvalidParams
 from .exact import compute_extended_sssp
-from .graph import DELETE, INF, INSERT, SET_WEIGHT, dist_eq, dist_lt
+from .graph import DELETE, INF, INSERT, REL_TOL, SET_WEIGHT, dist_eq, dist_lt
 
 
 @dataclass
@@ -194,22 +194,17 @@ def update_sssp_w(g, state, events):
 
     The graph must already reflect the batch; ``events`` is the canonical
     effective list. Returns an AffectedSet: the nodes whose distance or
-    count changed, and the pre-repair distance of every node touched.
-    Distances and counts afterwards equal a fresh Dijkstra with counting on
-    the post-batch graph.
+    count changed, and the pre-repair distance of every node touched; an
+    empty one, built before anything else, when no event can move the
+    state. Distances and counts afterwards equal a fresh Dijkstra with
+    counting on the post-batch graph.
     """
     if not g.weighted or not state.weighted:
         raise InvalidParams("update_sssp_w needs a weighted graph and state")
     d = state.d
     sigma = state.sigma
-    out_adj = g._adj
-    in_adj = g._radj
-
     heap = []
     key = {}
-    old_d = {}
-    old_sig = {}
-    touched = 0
 
     def push(v, p):
         cur = key.get(v)
@@ -243,42 +238,55 @@ def update_sssp_w(g, state, events):
                 ev.old_weight is None or dist_eq(db, da + ev.old_weight)
             ):
                 push(b, db)
+    if not heap:
+        return AffectedSet()
 
+    out_adj = g._adj
+    in_adj = g._radj
+    old_d = {}
+    old_sig = {}
+    touched = 0
+    # dist_eq/dist_lt written out: for 0 <= a <= b < INF, dist_eq(a, b) is
+    # b - a <= REL_TOL * b, and dist_lt(a, b) is a < b and not dist_eq(a, b).
     while heap:
         p, w = heapq.heappop(heap)
         if key.get(w) != p:
             continue
         del key[w]
         con = INF
-        for z, wt in in_adj[w].items():
-            touched += 1
+        touched += len(adj := in_adj[w])
+        for z, wt in adj.items():
             dz = d[z]
             if dz != INF:
                 c = dz + wt
                 if c < con:
                     con = c
-        if dist_eq(con, p):
+        if con != INF and (  # dist_eq(con, p); every queued p is finite
+            p - con <= REL_TOL * p if con < p else con - p <= REL_TOL * con
+        ):
             prev_d = d[w]
             prev_sig = sigma[w]
             old_d[w] = old_d.pop(w, prev_d)  # re-inserted: settling order
             old_sig.setdefault(w, prev_sig)
             nd = con
             s = 0
-            for z, wt in in_adj[w].items():
-                touched += 1
+            touched += len(adj)
+            for z, wt in adj.items():  # every dz + wt >= nd, their minimum
                 dz = d[z]
-                if dz != INF and dist_eq(dz + wt, nd):
-                    s += sigma[z]
+                if dz != INF:
+                    c = dz + wt
+                    if c - nd <= REL_TOL * c:
+                        s += sigma[z]
             d[w] = nd
             sigma[w] = s
             changed = prev_d != nd or prev_sig != s
-            for z, wt in out_adj[w].items():
-                touched += 1
+            touched += len(adj := out_adj[w])
+            for z, wt in adj.items():
                 dz = d[z]
                 c = nd + wt
-                if dz > c and not dist_eq(dz, c):
+                if c < dz and (dz == INF or dz - c > REL_TOL * dz):
                     push(z, c)
-                elif changed and dz != INF and dist_eq(dz, c):
+                elif changed and (c < dz or c - dz <= REL_TOL * c):
                     push(z, dz)
         elif con > p:
             if d[w] != INF:
@@ -289,10 +297,13 @@ def update_sssp_w(g, state, events):
                 sigma[w] = 0
                 if con != INF:
                     push(w, con)
-                for z, wt in out_adj[w].items():
-                    touched += 1
+                touched += len(adj := out_adj[w])
+                for z, wt in adj.items():
                     dz = d[z]
-                    if dz != INF and dist_eq(dz, prev + wt):
+                    c = prev + wt
+                    if dz != INF and (
+                        c - dz <= REL_TOL * c if dz < c else dz - c <= REL_TOL * dz
+                    ):
                         push(z, dz)
             elif con != INF:
                 # the candidate that queued us is gone but a costlier path
@@ -312,25 +323,17 @@ def update_sssp_w(g, state, events):
 def update_sssp_u(g, state, events):
     """Unweighted batch repair of d and sigma (per-level lists and colors).
 
-    Same contract as update_sssp_w. Candidate levels replace priorities;
-    a node is colored black once its final level is known and black nodes
-    are skipped on later pops. Colors live only for the duration of the
-    call, so every node is white again when it returns.
+    Same contract as update_sssp_w, early return included. Candidate
+    levels replace priorities; a node is colored black once its final
+    level is known and black nodes are skipped on later pops. Colors live
+    only for the duration of the call, so every node is white again when
+    it returns.
     """
     if g.weighted or state.weighted:
         raise InvalidParams("update_sssp_u needs an unweighted graph and state")
     d = state.d
     sigma = state.sigma
-    out_adj = g._adj
-    in_adj = g._radj
-    n = g.n
-
     buckets = {}
-    color = bytearray(n)
-    old_d = {}
-    old_sig = {}
-    touched = 0
-
     for ev in events:
         op = ev.op
         if op == SET_WEIGHT:
@@ -345,25 +348,35 @@ def update_sssp_u(g, state, events):
         else:  # DELETE: only edges on some shortest path matter
             if da != INF and db != INF and db == da + 1:
                 buckets.setdefault(db, []).append(b)
+    if not buckets:
+        return AffectedSet()
 
+    out_adj = g._adj
+    in_adj = g._radj
+    n = g.n
+    color = bytearray(n)
+    old_d = {}
+    old_sig = {}
+    touched = 0
     # A node processed at level k only queues nodes at levels above k: its
     # out-neighbours at k + 1, itself at con > k, and the nodes that routed
     # through it at d[w] + 1, where d[w] >= k for every uncolored node popped
     # at level k. So once level k's list is taken nothing joins it or any
     # lower level, and the walk steps k up by one until no list is left.
-    k = min(buckets) if buckets else 0
+    k = min(buckets)
     while buckets:
         if k > n:
             raise InconsistentState("candidate level beyond any simple path")
         k1 = k + 1
+        nxt = buckets.setdefault(k1, [])
         for w in buckets.pop(k, ()):
             if color[w]:
                 continue
             # one pass: the lowest in-neighbour level and its sigma sum
             con = INF
             s = 0
-            for z in in_adj[w]:
-                touched += 1
+            touched += len(adj := in_adj[w])
+            for z in adj:
                 dz = d[z]
                 if dz < con:
                     con = dz
@@ -381,11 +394,11 @@ def update_sssp_u(g, state, events):
                 sigma[w] = s
                 color[w] = 1
                 changed = prev_d != k or prev_sig != s
-                for z in out_adj[w]:
-                    touched += 1
+                touched += len(adj := out_adj[w])
+                for z in adj:
                     dz = d[z]
                     if dz == INF or dz > k1 or (dz == k1 and changed):
-                        buckets.setdefault(k1, []).append(z)
+                        nxt.append(z)
             elif con > k:
                 if d[w] != INF:
                     prev = d[w]
@@ -396,8 +409,8 @@ def update_sssp_u(g, state, events):
                     if con != INF:
                         buckets.setdefault(con, []).append(w)
                     prev1 = prev + 1
-                    for z in out_adj[w]:
-                        touched += 1
+                    touched += len(adj := out_adj[w])
+                    for z in adj:
                         if d[z] == prev1:
                             buckets.setdefault(prev1, []).append(z)
                 elif con != INF:
@@ -406,7 +419,9 @@ def update_sssp_u(g, state, events):
                 raise InconsistentState(
                     f"candidate level {k} below best incoming level {con} at {w}"
                 )
-        k += 1
+        if not nxt:
+            del buckets[k1]
+        k = k1
 
     affected = {
         v for v, od in old_d.items() if d[v] != od or sigma[v] != old_sig[v]

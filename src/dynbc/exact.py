@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InvalidParams, Unreachable
-from .graph import INF, dist_eq, dist_lt
+from .graph import INF, REL_TOL, dist_eq, dist_lt
 
 
 @dataclass(slots=True)
@@ -82,11 +82,12 @@ def compute_extended_sssp(g, s, stop_at=None):
                 continue
             c = du + w
             dv = d[v]
-            if dist_lt(c, dv):
+            # dist_lt/dist_eq written out for non-negative distances
+            if c < dv and (dv == INF or dv - c > REL_TOL * dv):
                 d[v] = c
                 sigma[v] = su
                 heapq.heappush(heap, (c, v))
-            elif dist_eq(c, dv):
+            elif c < dv or c - dv <= REL_TOL * c:
                 sigma[v] += su
     return ExtendedSSSP(s, True, d, sigma)
 

@@ -40,7 +40,9 @@ REL_TOL = 1e-9
 
 
 def dist_eq(a, b):
-    """Distance equality under the package-wide relative tolerance."""
+    """Distance equality under the package-wide relative tolerance. Its
+    per-edge tests are written out in ``dynsssp.update_sssp_w`` and in the
+    Dijkstra of ``exact.compute_extended_sssp``; change them with it."""
     if a == b:
         return True
     if a == INF or b == INF:
@@ -49,7 +51,8 @@ def dist_eq(a, b):
 
 
 def dist_lt(a, b):
-    """Strictly-less for distances (beyond tolerance)."""
+    """Strictly-less for distances (beyond tolerance); written out in the
+    same two places as ``dist_eq``."""
     return a < b and not dist_eq(a, b)
 
 

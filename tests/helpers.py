@@ -99,9 +99,14 @@ def uf_components(g):
 
 
 WEIGHT_CHOICES = (0.5, 1.0, 2.0, 3.0)
+# Sums of these miss exact ties in floating point (0.1 + 0.2 != 0.3), so
+# equal-length paths compare equal only within dist_eq's tolerance. Distinct
+# path lengths on small graphs still differ by at least 0.1.
+NEAR_TIE_WEIGHTS = (0.1, 0.2, 0.3, 0.6, 0.7)
 
 
-def random_graph(rng, n, avg_deg=2.5, directed=False, weighted=False):
+def random_graph(rng, n, avg_deg=2.5, directed=False, weighted=False,
+                 weights=WEIGHT_CHOICES):
     """Sparse uniform random graph; discrete weights keep float ties real."""
     g = DynGraph(n, directed=directed, weighted=weighted)
     if directed:
@@ -112,7 +117,7 @@ def random_graph(rng, n, avg_deg=2.5, directed=False, weighted=False):
         p = 2.0 * avg_deg / max(n - 1, 1)
     for u, v in pairs:
         if rng.random() < p:
-            w = rng.choice(WEIGHT_CHOICES) if weighted else 1.0
+            w = rng.choice(weights) if weighted else 1.0
             g.insert_edge(u, v, w)
     return g
 
@@ -132,7 +137,8 @@ def induced_subgraph(g, nodes):
     return sub
 
 
-def random_valid_batch(rng, g, size, allow_delete=True, allow_weight=True):
+def random_valid_batch(rng, g, size, allow_delete=True, allow_weight=True,
+                       weights=WEIGHT_CHOICES):
     """A random event list that apply_batch will accept: every event is
     consistent with the per-pair state produced by the events before it."""
     events = []
@@ -149,14 +155,14 @@ def random_valid_batch(rng, g, size, allow_delete=True, allow_weight=True):
         if present:
             if allow_weight and g.weighted and rng.random() < 0.5:
                 events.append(
-                    EdgeEvent(k[0], k[1], "set-weight", rng.choice(WEIGHT_CHOICES))
+                    EdgeEvent(k[0], k[1], "set-weight", rng.choice(weights))
                 )
                 state[k] = True
             elif allow_delete:
                 events.append(EdgeEvent(k[0], k[1], "delete"))
                 state[k] = False
         else:
-            w = rng.choice(WEIGHT_CHOICES) if g.weighted else 1.0
+            w = rng.choice(weights) if g.weighted else 1.0
             events.append(EdgeEvent(k[0], k[1], "insert", w))
             state[k] = True
     return events

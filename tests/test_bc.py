@@ -40,6 +40,8 @@ from dynbc.rng import stream
 
 from helpers import (
     CHI2_CRIT_1E3,
+    NEAR_TIE_WEIGHTS,
+    WEIGHT_CHOICES,
     all_min_paths,
     random_graph,
     random_valid_batch,
@@ -570,10 +572,20 @@ PINNED_DIGESTS = {
 }
 
 
-def _stream_digest(mode, seed):
+# The same over near-tie weights (``NEAR_TIE_WEIGHTS``), whose path sums
+# meet only within dist_eq's tolerance; each stream grows r at least once.
+NEAR_TIE_SEEDS = {"iaw": 1900, "dadw": 1901, "daw": 1903}
+NEAR_TIE_DIGESTS = {
+    "iaw": "28b91183d6ce34e2d95e7e519760a447e0c40082fbdc005fd74e5d5c4b5f0dcb",
+    "dadw": "aed7a55ccf5ed29092705ef4d064dce984b2b408ab6de46623a949987e2dfd8b",
+    "daw": "bf4f3c773cb50e46283d1c5b44b878dfd476e9b9131f2f7056039167ce865da6",
+}
+
+
+def _stream_digest(mode, seed, weights=WEIGHT_CHOICES, rs=None):
     """Init on a random graph for mode (directed for ia, dad and dadw), then
     five random batches (insertions only in ia/iaw), and hash the digest of
-    every state on the way."""
+    every state on the way. ``rs``, if given, collects r after each step."""
     rng = random.Random(seed)
     incremental = mode in ("ia", "iaw")
     g = random_graph(
@@ -582,25 +594,81 @@ def _stream_digest(mode, seed):
         avg_deg=1.4,
         directed=mode in ("ia", "dad", "dadw"),
         weighted=mode in ("iaw", "dadw", "daw"),
+        weights=weights,
     )
     st = init_bc(g, SamplingParams(0.25, 0.2, seed=seed), mode)
     digests = [state_digest(st)]
     for _ in range(5):
+        if rs is not None:
+            rs.append(st.r)
         events = random_valid_batch(
             rng,
             g,
             rng.choice((1, 3, 6)),
             allow_delete=not incremental,
             allow_weight=not incremental,
+            weights=weights,
         )
         update_bc(g, st, apply_batch(g, Batch(events)))
         digests.append(state_digest(st))
+    if rs is not None:
+        rs.append(st.r)
     return hashlib.sha256(" ".join(digests).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_states_match_pinned_digests(mode):
     assert _stream_digest(mode, 1700 + MODES.index(mode)) == PINNED_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(NEAR_TIE_DIGESTS))
+def test_near_tie_states_match_pinned_digests(mode):
+    rs = []
+    digest = _stream_digest(mode, NEAR_TIE_SEEDS[mode], NEAR_TIE_WEIGHTS, rs)
+    assert digest == NEAR_TIE_DIGESTS[mode]
+    if mode != "iaw":
+        assert rs[-1] > rs[0]  # growth draws samples in an update round
+
+
+def test_samples_share_one_search_per_source(monkeypatch):
+    # the daw near-tie stream: many samples per source on 24 nodes, and r
+    # grows in its fourth round
+    seed = NEAR_TIE_SEEDS["daw"]
+    rng = random.Random(seed)
+    g = random_graph(rng, 24, avg_deg=1.4, weighted=True, weights=NEAR_TIE_WEIGHTS)
+    st = init_bc(g, SamplingParams(0.25, 0.2, seed=seed), "daw")
+    assert len({id(rec.sssp) for rec in st.samples}) == len({rec.s for rec in st.samples})
+    assert len(st.samples) > len({rec.s for rec in st.samples})
+    assert all(rec.sssp.source == rec.s for rec in st.samples)
+    repaired = []
+    real = dynbc.bc.update_sssp
+
+    def counting(g, state, events, vis=None):
+        repaired.append(id(state))
+        return real(g, state, events, vis)
+
+    monkeypatch.setattr(dynbc.bc, "update_sssp", counting)
+    grew = False
+    for _ in range(5):
+        searches = {id(rec.sssp) for rec in st.samples}
+        r_old = st.r
+        repaired.clear()
+        events = random_valid_batch(
+            rng, g, rng.choice((1, 3, 6)), weights=NEAR_TIE_WEIGHTS
+        )
+        update_bc(g, st, apply_batch(g, Batch(events)))
+        assert sorted(repaired) == sorted(searches)  # once per distinct search
+        if st.r > r_old:
+            grew = True
+            new = st.samples[r_old:]
+            assert not {id(rec.sssp) for rec in new} & searches
+            assert len({id(rec.sssp) for rec in new}) == len({rec.s for rec in new})
+        for rec in st.samples:
+            fresh = compute_extended_sssp(g, rec.s)
+            assert rec.sssp.source == rec.s
+            assert rec.sssp.sigma == fresh.sigma
+            assert all(map(dist_eq, rec.sssp.d, fresh.d))
+    assert grew
 
 
 def test_update_bc_dispatch_and_recount():

@@ -20,7 +20,7 @@ from dynbc import (
 )
 from dynbc.errors import InconsistentState, InvalidParams
 
-from helpers import random_graph, random_valid_batch
+from helpers import NEAR_TIE_WEIGHTS, all_min_paths, random_graph, random_valid_batch
 
 
 def assert_matches_fresh(g, state):
@@ -141,6 +141,44 @@ def test_oracle_equivalence_randomized():
             eff = apply_batch(g, Batch(events))
             update_sssp(g, st, eff)
             assert_matches_fresh(g, st)
+
+
+def _assert_matches_path_oracle(g, st, t):
+    """sigma[t] counts the minimum paths to t found by enumeration, and d[t]
+    is their length within dist_eq."""
+    paths = all_min_paths(g, st.source, t)
+    assert st.sigma[t] == len(paths), (st.source, t)
+    if paths:
+        p = paths[0]
+        assert dist_eq(st.d[t], sum(map(g.edge_weight, p, p[1:]))), (st.source, t)
+    else:
+        assert st.d[t] == INF
+
+
+def test_near_tie_weights_match_path_oracle():
+    # NEAR_TIE_WEIGHTS' equal-length paths sum to floats that differ in the
+    # last bits, so the searches and repairs take their tolerance branches
+    rng = random.Random(1213)
+    for trial in range(120):
+        n = rng.randrange(5, 11)
+        g = random_graph(
+            rng, n, avg_deg=2.5, directed=trial % 2 == 1, weighted=True,
+            weights=NEAR_TIE_WEIGHTS,
+        )
+        src = rng.randrange(n)
+        targets = [t for t in range(n) if t != src]
+        st = compute_extended_sssp(g, src)
+        for t in targets:
+            _assert_matches_path_oracle(g, st, t)
+            _assert_matches_path_oracle(g, compute_extended_sssp(g, src, stop_at=t), t)
+        for _ in range(3):
+            events = random_valid_batch(
+                rng, g, rng.choice((1, 3)), weights=NEAR_TIE_WEIGHTS
+            )
+            update_sssp(g, st, apply_batch(g, Batch(events)))
+            assert_matches_fresh(g, st)
+            for t in targets:
+                _assert_matches_path_oracle(g, st, t)
 
 
 def test_non_affected_nodes_keep_bit_identical_values():
