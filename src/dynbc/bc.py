@@ -12,9 +12,9 @@ the target's new shortest paths and draws nothing when the batch left them
 as they were, and the state's bound object is refreshed; if its bound asks
 for more samples, they are drawn and the scores renormalized. Only that object differs between the modes (``BOUNDS``):
 
-* ``ia`` / ``iaw`` (incremental), ``KeptBound``: only insertions and weight
-  decreases are allowed, and the bound is kept. The caller is responsible
-  for only using these modes when the vertex diameter cannot grow.
+* ``ia`` / ``iaw`` (incremental): only insertions and weight decreases are
+  allowed. The bound comes from ``VDTracker`` on an undirected graph and
+  from ``StaticBound`` on a directed one.
 * ``dad`` / ``dadw`` (fully dynamic, any direction), ``StaticBound``: the
   static bound is recomputed from scratch.
 * ``da`` / ``daw`` (combined, undirected only), ``VDTracker``: the fully
@@ -55,10 +55,10 @@ class SampleRecord:
 
 
 class StaticBound:
-    """``dad``/``dadw`` and the static runner: ``vd_upper_bound``,
-    recomputed every round. Each bound object holds its bound in ``bound``,
-    computed at construction unless given; ``refresh(g, events)``, called
-    after each round's sample repairs, returns the new bound or None."""
+    """``dad``/``dadw``, directed ``ia``/``iaw`` and the static runner:
+    ``vd_upper_bound``, recomputed every round. A bound object holds its
+    bound in ``bound``, computed at construction unless given, and
+    ``refresh(g, events)`` renews and returns it after the sample repairs."""
 
     __slots__ = ("bound",)
 
@@ -70,19 +70,10 @@ class StaticBound:
         return self.bound
 
 
-class KeptBound(StaticBound):
-    """``ia``/``iaw``: the first bound is kept, and with it r."""
-
-    __slots__ = ()
-
-    def refresh(self, g, events):
-        return None
-
-
 class VDTracker:
-    """``da``/``daw`` (undirected only): one ``DynSSSP`` per component,
-    rooted at its lowest node and kept by ``dynvd``. The bound is the max of
-    their ``local_vd_estimate``; at construction it equals the static one."""
+    """``da``/``daw``, undirected ``ia``/``iaw``: one ``DynSSSP`` per
+    component, rooted at its lowest node and kept by ``dynvd``. The bound is
+    the max of their ``local_vd_estimate``, at first equal to the static."""
 
     __slots__ = ("sources", "vis", "bound")
 
@@ -102,8 +93,14 @@ class VDTracker:
         return self.bound
 
 
-BOUNDS = {  # mode -> bound object class
-    "ia": KeptBound, "iaw": KeptBound,
+def _incremental_bound(g, bound=None):
+    """``ia``/``iaw``: the tracker as in ``da`` on an undirected graph, the
+    static bound as in ``dad`` on a directed one."""
+    return (StaticBound if g.directed else VDTracker)(g, bound)
+
+
+BOUNDS = {  # mode -> bound object factory, called as (g, bound)
+    "ia": _incremental_bound, "iaw": _incremental_bound,
     "dad": StaticBound, "dadw": StaticBound,
     "da": VDTracker, "daw": VDTracker,
 }
@@ -196,8 +193,8 @@ def init_bc(g, params, mode, vd_bound=None):
     """Initialize a dynamic score state in the given mode.
 
     The first bound, and with it r, comes from ``BOUNDS[mode]``.
-    ``vd_bound`` overrides it, and is then not computed (useful for
-    experiments that need two modes to agree on the sample count).
+    ``vd_bound`` stands in for it, uncomputed, until the first refresh
+    (useful for experiments that need two modes to agree on the first r).
     """
     if mode not in MODES:
         raise InvalidParams(f"unknown mode {mode!r}")
@@ -322,8 +319,7 @@ def _update(g, state, events, allowed):
         rec.path = path
         for v in path.internal:
             add[v] += inv
-    bound = state.bound.refresh(g, events)  # None keeps the bound and r
-    if bound is not None and (r_new := sample_size(bound, params)) > state.r:
+    if (r_new := sample_size(state.bound.refresh(g, events), params)) > state.r:
         _add_samples(g, state, r_new)  # more samples only tighten the estimate
     state.round += 1
     return state

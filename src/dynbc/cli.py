@@ -142,6 +142,8 @@ def _run(parser, args):
         return 0
 
     if args.command == "vd-bounds":
+        if args.samples < 0:
+            parser.exit(2, "dynbc: error: --samples must not be negative\n")
         g, _ = load_edge_list(args.graph, args.format, args.directed, args.weighted)
         rng = random.Random(args.seed)
         k = min(args.samples, g.n)

@@ -375,6 +375,16 @@ def test_cli_user_errors_exit_2_without_traceback(tmp_path, capsys):
     assert "--batch-sizes" in capsys.readouterr().err
 
 
+def test_cli_vd_bounds_rejects_negative_samples(tmp_path, capsys):
+    graph_file = write(tmp_path, "p.txt", "0 1\n1 2\n")
+    with pytest.raises(SystemExit) as done:
+        cli_main(["vd-bounds", "--graph", graph_file, "--samples", "-1"])
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dynbc: error: ") and "--samples" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_perfbench_selftest_passes():
     # the benchmark's tracer patches names inside the package; its self-test
     # fails when a change to the package breaks one of those hooks
