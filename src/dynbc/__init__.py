@@ -18,9 +18,6 @@ from .bc import (
     recount_scores,
     scores,
     update_bc,
-    update_combined,
-    update_fully_dynamic,
-    update_incremental,
 )
 from .bench import (
     RunReport,

@@ -4,13 +4,14 @@ A score state holds r sampled (pair, search, path) triples; each node's
 score is the fraction of sampled paths it is internal to. A dynamic state's
 search is a plain full ``ExtendedSSSP`` (distances and path counts only);
 samples drawn together from one source share it. The static runner draws
-the samples once and keeps only the paths. The update entry points keep the
-samples valid across batches of edge events. Every mode runs the same
-round: each distinct search is repaired once, each sample's path is kept
-or redrawn by one exact rule (see ``_update``) that leaves it uniform over
-the target's new shortest paths and draws nothing when the batch left them
-as they were, and the state's bound object is refreshed; if its bound asks
-for more samples, they are drawn and the scores renormalized. Only that object differs between the modes (``BOUNDS``):
+the samples once and keeps only the paths. ``update_bc`` keeps the samples
+valid across batches of edge events. Every mode runs the same round: each
+distinct search is repaired once, each sample's path is kept or redrawn by
+one exact rule (see ``update_bc``) that leaves it uniform over the target's
+new shortest paths and draws nothing when the batch left them as they were,
+and the state's bound object is refreshed; if its bound asks for more
+samples, they are drawn and the scores renormalized. Only that object
+differs between the modes (``BOUNDS``):
 
 * ``ia`` / ``iaw`` (incremental): only insertions and weight decreases are
   allowed. The bound comes from ``VDTracker`` on an undirected graph and
@@ -18,8 +19,7 @@ for more samples, they are drawn and the scores renormalized. Only that object d
 * ``dad`` / ``dadw`` (fully dynamic, any direction), ``StaticBound``: the
   static bound is recomputed from scratch.
 * ``da`` / ``daw`` (combined, undirected only), ``VDTracker``: the fully
-  dynamic diameter tracker, one search per connected component. Its bound,
-  and with it r, does not depend on which sources were sampled.
+  dynamic diameter tracker, one search per connected component.
 
 Per-sample updates are independent given split random streams (stream
 coordinates are (seed, domain, [round,] index)), so identical inputs give
@@ -31,10 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# vd_upper_bound and local_vd_estimate are called through this module's
-# names, which perfbench/tracing.py patches to time and count them.
-from .dynsssp import VisCounters, local_vd_estimate, update_sssp
-from .dynvd import cover, refresh_sources
+# vd_upper_bound, local_vd_estimate and update_sssp are called through this
+# module's names, which perfbench/tracing.py patches to time and count them.
+from .dynsssp import DynSSSP, VisCounters, local_vd_estimate, update_sssp
 from .errors import DeletionInIncrementalMode, InvalidParams
 from .exact import ExtendedSSSP, compute_extended_sssp
 from .graph import INSERT, SET_WEIGHT, dist_eq
@@ -57,13 +56,13 @@ class SampleRecord:
 class StaticBound:
     """``dad``/``dadw``, directed ``ia``/``iaw`` and the static runner:
     ``vd_upper_bound``, recomputed every round. A bound object holds its
-    bound in ``bound``, computed at construction unless given, and
-    ``refresh(g, events)`` renews and returns it after the sample repairs."""
+    bound in ``bound``, computed at construction, and ``refresh(g, events)``
+    renews and returns it after the sample repairs."""
 
     __slots__ = ("bound",)
 
-    def __init__(self, g, bound=None):
-        self.bound = vd_upper_bound(g).value if bound is None else bound
+    def __init__(self, g):
+        self.bound = vd_upper_bound(g).value
 
     def refresh(self, g, events):
         self.bound = vd_upper_bound(g).value
@@ -71,35 +70,67 @@ class StaticBound:
 
 
 class VDTracker:
-    """``da``/``daw``, undirected ``ia``/``iaw``: one ``DynSSSP`` per
-    component, rooted at its lowest node and kept by ``dynvd``. The bound is
-    the max of their ``local_vd_estimate``, at first equal to the static."""
+    """``da``/``daw``, undirected ``ia``/``iaw``: the fully dynamic
+    vertex-diameter bound, one ``DynSSSP`` per connected component, rooted
+    at its lowest node. The bound is the max of their
+    ``local_vd_estimate``, at first equal to the static one.
+
+    The searches share the ``vis`` counters, which detect merges (a source
+    visited by another source's updated search becomes redundant) and
+    splits (nodes whose count drops to zero seed new sources), so after
+    every round the tracker again holds exactly one source per component
+    and every node is counted once. The bound, and with it r, does not
+    depend on which sources were sampled."""
 
     __slots__ = ("sources", "vis", "bound")
 
-    def __init__(self, g, bound=None):
+    def __init__(self, g):
         if g.directed:
             raise InvalidParams("the tracker handles undirected graphs")
         self.vis = VisCounters.zeros(g.n)
-        self.sources = cover(g, self.vis, range(g.n))
-        self.bound = self._estimate(g) if bound is None else bound
+        self.sources = self._cover(g, range(g.n))
+        self.bound = self._estimate(g)
+
+    def _cover(self, g, candidates):
+        """Root a search at each candidate (in the given order) that no
+        maintained search reaches yet, and return the new searches."""
+        vis = self.vis
+        return [DynSSSP.initial(g, v, vis) for v in candidates if vis.vis[v] == 0]
 
     def _estimate(self, g):
         return max((local_vd_estimate(g, st) for st in self.sources), default=1.0)
 
     def refresh(self, g, events):
-        self.sources = refresh_sources(g, self.sources, self.vis, events)
+        """Bring the searches up to date with a batch already applied to g
+        and return the new bound.
+
+        A source whose own node was annexed by an earlier search's update
+        (``vis[source] > 1``) is dropped; it first hands back every node its
+        stale search still claims, so nodes left uncovered surface in U with
+        count zero. The others are updated. Draining U (ascending node
+        index) then roots fresh sources for split-off components. U is empty
+        between rounds, since only updates fill it and this drains it."""
+        vis = self.vis
+        kept = []
+        for st in self.sources:
+            if vis.vis[st.source] > 1:
+                st.release(vis)
+            else:
+                update_sssp(g, st, events, vis)
+                kept.append(st)
+        self.sources = kept + self._cover(g, sorted(set(vis.U)))
+        vis.U.clear()
         self.bound = self._estimate(g)
         return self.bound
 
 
-def _incremental_bound(g, bound=None):
+def _incremental_bound(g):
     """``ia``/``iaw``: the tracker as in ``da`` on an undirected graph, the
     static bound as in ``dad`` on a directed one."""
-    return (StaticBound if g.directed else VDTracker)(g, bound)
+    return (StaticBound if g.directed else VDTracker)(g)
 
 
-BOUNDS = {  # mode -> bound object factory, called as (g, bound)
+BOUNDS = {  # mode -> bound object factory, called as (g)
     "ia": _incremental_bound, "iaw": _incremental_bound,
     "dad": StaticBound, "dadw": StaticBound,
     "da": VDTracker, "daw": VDTracker,
@@ -189,13 +220,9 @@ def approximate_bc(g, params):
     return state
 
 
-def init_bc(g, params, mode, vd_bound=None):
-    """Initialize a dynamic score state in the given mode.
-
-    The first bound, and with it r, comes from ``BOUNDS[mode]``.
-    ``vd_bound`` stands in for it, uncomputed, until the first refresh
-    (useful for experiments that need two modes to agree on the first r).
-    """
+def init_bc(g, params, mode):
+    """Initialize a dynamic score state in the given mode. The first bound,
+    and with it r, comes from ``BOUNDS[mode]``."""
     if mode not in MODES:
         raise InvalidParams(f"unknown mode {mode!r}")
     if g.n < 2:
@@ -206,7 +233,7 @@ def init_bc(g, params, mode, vd_bound=None):
     if mode in ("da", "daw") and g.directed:
         raise InvalidParams(f"mode {mode!r} needs an undirected graph")
 
-    state = BCState(g.n, mode, params, [0.0] * g.n, 0, [], BOUNDS[mode](g, vd_bound))
+    state = BCState(g.n, mode, params, [0.0] * g.n, 0, [], BOUNDS[mode](g))
     _add_samples(g, state, sample_size(state.vd_bound, params))
     return state
 
@@ -242,8 +269,8 @@ def _has_length(g, path, length, weights):
     return dist_eq(total, length)
 
 
-def _update(g, state, events, allowed):
-    """One update round for a state whose mode is in ``allowed``: read each
+def update_bc(g, state, events):
+    """One update round for a state in any dynamic mode: read each
     sample's d[t] and sigma[t], repair each distinct search once (samples
     may share one), keep or redraw each path in index order, refresh the
     state's bound object, and grow the sample set if its bound asks for
@@ -274,9 +301,9 @@ def _update(g, state, events, allowed):
     decremental batch with d[t] unchanged has P' <= P: every draw is old,
     and accepting the first one gives each x 1/sigma + (1/sigma' - 1/sigma)
     = 1/sigma' as well. An unreachable target gets the empty path."""
-    if state.mode not in allowed:
+    if state.mode not in MODES:
         raise InvalidParams(
-            f"state mode {state.mode!r} not usable here (need one of {allowed})"
+            f"state mode {state.mode!r} not usable here (need one of {MODES})"
         )
     directions = _directions(events)
     if state.mode in ("ia", "iaw") and 1 in directions:
@@ -323,28 +350,3 @@ def _update(g, state, events, allowed):
         _add_samples(g, state, r_new)  # more samples only tighten the estimate
     state.round += 1
     return state
-
-
-def update_incremental(g, state, events):
-    """ia/iaw update. Rejects deletions and weight increases; a path is
-    only reconsidered when its target's distance dropped or its path count
-    grew, and then kept with probability sigma/sigma' while still
-    shortest."""
-    return _update(g, state, events, ("ia", "iaw"))
-
-
-def update_fully_dynamic(g, state, events):
-    """dad/dadw update: after the sample repair, ``StaticBound`` recomputes
-    the bound from scratch with the static class bound."""
-    return _update(g, state, events, ("dad", "dadw"))
-
-
-def update_combined(g, state, events):
-    """da/daw update: after the sample repair, the ``VDTracker`` is
-    refreshed, and the bound is the max of its per-component estimates."""
-    return _update(g, state, events, ("da", "daw"))
-
-
-def update_bc(g, state, events):
-    """Update a state in any dynamic mode."""
-    return _update(g, state, events, MODES)

@@ -176,13 +176,10 @@ def _run(parser, args):
 
     if args.command == "generate":
         kwargs = {"n": args.n, "weighted": args.weighted}
-        if args.model == "erdos-renyi":
-            if args.p is None:
-                parser.error("erdos-renyi needs --p")
+        if args.p is not None:
             kwargs["p"] = args.p
-            kwargs["directed"] = args.directed
-        elif args.directed:
-            parser.error(f"{args.model} is undirected only")
+        if args.directed:
+            kwargs["directed"] = True
         g = generate(args.model, seed=args.seed, **kwargs)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(f"# {args.model} n={args.n} seed={args.seed}\n")

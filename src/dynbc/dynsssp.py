@@ -7,10 +7,10 @@ candidate distances through a priority queue; the unweighted one replaces the
 queue with one plain list per distance level, walked level by level in
 insertion order, and node colors. Both repair only d and sigma, all a score
 sample's plain ``ExtendedSSSP`` holds, and record the pre-repair distance of
-every node they touch. From that record the diameter tracker's ``DynSSSP``
-updates its reach, the tracker's shared reachability counters (``vis``) and
-its vertex-diameter ingredient: the two largest distances seen from the
-source.
+every node they touch. From that record a search of the diameter tracker
+(``bc.VDTracker``), a ``DynSSSP``, updates its reach, the tracker's shared
+reachability counters (``vis``) and its vertex-diameter ingredient: the two
+largest distances seen from the source.
 
 Rules the update loops rely on:
 

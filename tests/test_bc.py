@@ -28,9 +28,6 @@ from dynbc import (
     sample_size,
     scores,
     update_bc,
-    update_combined,
-    update_fully_dynamic,
-    update_incremental,
     vd_upper_bound,
 )
 import dynbc.bc
@@ -49,10 +46,10 @@ from helpers import (
 )
 
 
-def forced_state(g, params, mode, pairs, vd_bound=None):
+def forced_state(g, params, mode, pairs):
     """Assemble a score state with hand-picked sample pairs (white box).
-    Samples and the mode's bound object are built as init_bc builds them,
-    the bound overridden by vd_bound (default n)."""
+    Samples and the mode's bound object are built as init_bc builds them;
+    r is len(pairs), whatever the bound asks for."""
     r = len(pairs)
     vals = [0.0] * g.n
     samples = []
@@ -63,16 +60,7 @@ def forced_state(g, params, mode, pairs, vd_bound=None):
         samples.append(SampleRecord(s, t, sssp, path))
         for v in path.internal:
             vals[v] += 1.0 / r
-    state = BCState(
-        g.n,
-        mode,
-        params,
-        vals,
-        r,
-        samples,
-        BOUNDS[mode](g, vd_bound if vd_bound is not None else float(g.n)),
-    )
-    return state
+    return BCState(g.n, mode, params, vals, r, samples, BOUNDS[mode](g))
 
 
 def test_init_matches_static_runner():
@@ -152,16 +140,16 @@ def test_incremental_rejects_deletions_and_increases():
     eff = apply_batch(g2, [EdgeEvent(1, 3)])
     eff_del = [EdgeEvent(0, 1, "delete")]
     with pytest.raises(DeletionInIncrementalMode):
-        update_incremental(g2, st, eff_del)
+        update_bc(g2, st, eff_del)
     gw = generate("path", n=5, weighted=True, wmin=1.0, wmax=1.0)
     stw = init_bc(gw, SamplingParams(0.3, 0.3), "iaw")
     inc = [EdgeEvent(0, 1, "set-weight", 9.0, old_weight=1.0)]
     with pytest.raises(DeletionInIncrementalMode):
-        update_incremental(gw, stw, inc)
+        update_bc(gw, stw, inc)
     # without the old weight the change cannot be shown to be a decrease
     unknown = [EdgeEvent(0, 1, "set-weight", 0.5)]
     with pytest.raises(DeletionInIncrementalMode):
-        update_incremental(gw, stw, unknown)
+        update_bc(gw, stw, unknown)
 
 
 def test_update_bc_rejects_static_state():
@@ -182,7 +170,7 @@ def test_incremental_untouched_batch_is_bit_identical():
     paths_before = [st.samples[i].path for i in range(2)]
     # edge in a far corner: distances and counts of both pairs are untouched
     eff = apply_batch(g, [EdgeEvent(5, 6)])
-    update_incremental(g, st, eff)
+    update_bc(g, st, eff)
     assert scores(st) == before
     assert [st.samples[i].path for i in range(2)] == paths_before
     assert st.samples[0].path is paths_before[0]
@@ -196,7 +184,7 @@ def test_incremental_replaces_shortened_path():
     st = forced_state(g, params, "ia", [(0, 4), (4, 0)])
     assert scores(st) == [0.0, 1.0, 1.0, 1.0, 0.0]
     eff = apply_batch(g, [EdgeEvent(1, 4)])
-    update_incremental(g, st, eff)
+    update_bc(g, st, eff)
     # old internal nodes 2 and 3 lose 1/r, the new route keeps only node 1
     assert scores(st) == [0.0, 1.0, 0.0, 0.0, 0.0]
     assert st.samples[0].path.internal == [1]
@@ -212,10 +200,12 @@ def test_incremental_posterior_path_distribution():
         g = DynGraph(5)
         for u, v in ((0, 1), (1, 3), (0, 2), (2, 3)):
             g.insert_edge(u, v)
-        params = SamplingParams(0.3, 0.3, seed=seed)
+        # a tiny c pins r at 1, so no sample is added by the update
+        params = SamplingParams(0.3, 0.3, c=1e-9, seed=seed)
         st = forced_state(g, params, "ia", [(0, 3)])
         eff = apply_batch(g, [EdgeEvent(0, 4), EdgeEvent(4, 3)])
-        update_incremental(g, st, eff)
+        update_bc(g, st, eff)
+        assert st.r == 1
         path = st.samples[0].path
         assert len(path.internal) == 1
         counts[path.internal[0]] += 1
@@ -334,15 +324,15 @@ def test_untouched_weight_increase_draws_nothing(monkeypatch):
 def test_fully_dynamic_disconnect_and_reconnect():
     g = generate("path", n=3)
     params = SamplingParams(0.99, 0.99, seed=5)
-    st = forced_state(g, params, "dad", [(0, 2)], vd_bound=3.0)
+    st = forced_state(g, params, "dad", [(0, 2)])
     assert scores(st) == [0.0, 1.0, 0.0]
     eff = apply_batch(g, [EdgeEvent(1, 2, "delete")])
-    update_fully_dynamic(g, st, eff)
+    update_bc(g, st, eff)
     # the severed sample keeps its slot but contributes nothing
     assert st.samples[0].path.empty
     assert scores(st) == [0.0] * 3
     eff = apply_batch(g, [EdgeEvent(1, 2)])
-    update_fully_dynamic(g, st, eff)
+    update_bc(g, st, eff)
     # connectivity came back, so the slot is resampled on the next batch
     assert not st.samples[0].path.empty
     assert st.samples[0].path.internal == [1]
@@ -353,28 +343,24 @@ def test_fully_dynamic_disconnect_and_reconnect():
 
 
 def test_fully_dynamic_rescales_when_sample_count_grows():
-    # computed bound for P6 is 1 + 5 + 4 = 10 (sample size 316); start from
-    # an overridden bound of 4 (sample size 216) and let an update refresh it
-    g = generate("path", n=6)
+    # P3 plus three isolated nodes has bound 4 (sample size 216); extending
+    # it to P6 takes the refreshed bound to 1 + 5 + 4 = 10 (sample size 316)
+    g = DynGraph(6)
+    g.insert_edge(0, 1)
+    g.insert_edge(1, 2)
     params = SamplingParams(0.1, 0.1, seed=13)
-    st = init_bc(g, params, "dad", vd_bound=4.0)
-    assert st.r == 216
-    before = scores(st)
-    update_fully_dynamic(g, st, [])
-    assert st.vd_bound == 10.0
-    assert st.r == 316
-    counts_new = [0] * g.n
-    for rec in st.samples[216:]:
-        for v in rec.path.internal:
-            counts_new[v] += 1
-    for v in range(g.n):
-        want = before[v] * (216 / 316) + counts_new[v] / 316
-        assert abs(scores(st)[v] - want) <= 1e-12
+    st = init_bc(g, params, "dad")
+    assert (st.vd_bound, st.r) == (4.0, 216)
+    eff = apply_batch(g, [EdgeEvent(2, 3), EdgeEvent(3, 4), EdgeEvent(4, 5)])
+    update_bc(g, st, eff)
+    assert (st.vd_bound, st.r) == (10.0, 316)
+    assert len(st.samples) == 316
     got = scores(st)
     rec = recount_scores(st)
     assert max(abs(a - b) for a, b in zip(got, rec)) <= 1e-12
     # shrinking bounds never shrink r
-    update_fully_dynamic(g, st, [])
+    update_bc(g, st, apply_batch(g, [EdgeEvent(3, 4, "delete")]))
+    assert st.vd_bound < 10.0
     assert st.r == 316
 
 
@@ -388,8 +374,8 @@ def test_combined_pure_insertions_equal_incremental():
     g_ia = g.copy()
     g_da = g.copy()
     batch = [EdgeEvent(0, 2), EdgeEvent(3, 5)]
-    update_incremental(g_ia, st_ia, apply_batch(g_ia, Batch(list(batch))))
-    update_combined(g_da, st_da, apply_batch(g_da, Batch(list(batch))))
+    update_bc(g_ia, st_ia, apply_batch(g_ia, Batch(list(batch))))
+    update_bc(g_da, st_da, apply_batch(g_da, Batch(list(batch))))
     assert scores(st_ia) == scores(st_da)
     assert st_ia.r == st_da.r
 
@@ -473,10 +459,11 @@ def test_incremental_bound_covers_vertex_diameter_over_streams(mode, directed):
     ids=("ia", "ia-directed", "dad", "da"),
 )
 def test_bound_calls_go_through_bc_names(mode, directed, monkeypatch):
-    # perfbench/tracing.py counts the bound's work by patching these two
-    # names in dynbc.bc; work done through any other name would count as 0
+    # perfbench/tracing.py counts the repairs' and the bound's work by
+    # patching these names in dynbc.bc; work done through any other name
+    # would count as 0
     calls = Counter()
-    for name in ("vd_upper_bound", "local_vd_estimate"):
+    for name in ("vd_upper_bound", "local_vd_estimate", "update_sssp"):
         orig = getattr(dynbc.bc, name)
 
         def counted(*args, _name=name, _orig=orig):
@@ -493,21 +480,28 @@ def test_bound_calls_go_through_bc_names(mode, directed, monkeypatch):
     for _ in range(4):
         events = random_valid_batch(rng, g, 3, allow_delete=mode != "ia")
         calls.clear()
+        searches = len({id(rec.sssp) for rec in st.samples})
+        tracker = set(map(id, st.aux_sources))
         update_bc(g, st, apply_batch(g, Batch(events)))
         if directed:
-            want = {"vd_upper_bound": 1}
+            want = {"vd_upper_bound": 1, "update_sssp": searches}
         else:
-            want = {"local_vd_estimate": len(st.aux_sources)}
+            # one repair per sample search and per tracker search kept
+            kept = len(tracker & set(map(id, st.aux_sources)))
+            want = {
+                "local_vd_estimate": len(st.aux_sources),
+                "update_sssp": searches + kept,
+            }
         assert calls == Counter(want)
 
 
 def test_combined_split_grows_aux_sources():
     g = generate("path", n=8)
     params = SamplingParams(0.5, 0.5, seed=2)
-    st = forced_state(g, params, "da", [(0, 2), (1, 3)], vd_bound=8.0)
+    st = forced_state(g, params, "da", [(0, 2), (1, 3)])
     assert [aux.source for aux in st.bound.sources] == [0]
     eff = apply_batch(g, [EdgeEvent(5, 6, "delete")])
-    update_combined(g, st, eff)
+    update_bc(g, st, eff)
     # the split-off half {6, 7} gets its own search, rooted at its lowest node
     assert [aux.source for aux in st.bound.sources] == [0, 6]
     assert [aux.reach for aux in st.bound.sources] == [6, 2]
@@ -524,7 +518,7 @@ def test_combined_merge_drops_annexed_aux_source():
     st = forced_state(g, params, "da", [(0, 1)])
     assert [aux.source for aux in st.bound.sources] == [0, 2]
     eff = apply_batch(g, [EdgeEvent(1, 2)])
-    update_combined(g, st, eff)
+    update_bc(g, st, eff)
     assert [aux.source for aux in st.bound.sources] == [0]
     assert all(v == 1 for v in st.bound.vis.vis)
 
@@ -582,25 +576,27 @@ def test_combined_tracker_invariants_through_update_bc():
 
 def test_combined_matches_fully_dynamic_on_encoded_graph():
     # the same undirected instance once as-is (da) and once with both arcs
-    # (dad): same seeds and same forced bound give identical scores
+    # (dad): their bounds differ but ask for the same r, so the same seed
+    # gives identical scores
     n = 6
     und = generate("path", n=n)
     enc = DynGraph(n, directed=True)
     for u, v, _ in und.edges():
         enc.insert_edge(u, v)
         enc.insert_edge(v, u)
-    # an override above any post-update bound keeps both modes at one r
     params = SamplingParams(0.2, 0.2, seed=77)
-    st_da = init_bc(und, params, "da", vd_bound=20.0)
-    st_dad = init_bc(enc, params, "dad", vd_bound=20.0)
+    st_da = init_bc(und, params, "da")
+    st_dad = init_bc(enc, params, "dad")
+    assert st_da.r == st_dad.r
     assert scores(st_da) == scores(st_dad)
     eff_und = apply_batch(und, [EdgeEvent(0, 3), EdgeEvent(2, 5, "insert")])
     eff_enc = apply_batch(
         enc,
         [EdgeEvent(0, 3), EdgeEvent(3, 0), EdgeEvent(2, 5), EdgeEvent(5, 2)],
     )
-    update_combined(und, st_da, eff_und)
-    update_fully_dynamic(enc, st_dad, eff_enc)
+    update_bc(und, st_da, eff_und)
+    update_bc(enc, st_dad, eff_enc)
+    assert st_da.r == st_dad.r
     assert scores(st_da) == scores(st_dad)
 
 
@@ -695,13 +691,15 @@ def test_samples_share_one_search_per_source(monkeypatch):
     grew = False
     for _ in range(5):
         searches = {id(rec.sssp) for rec in st.samples}
+        tracker = set(map(id, st.bound.sources))
         r_old = st.r
         repaired.clear()
         events = random_valid_batch(
             rng, g, rng.choice((1, 3, 6)), weights=NEAR_TIE_WEIGHTS
         )
         update_bc(g, st, apply_batch(g, Batch(events)))
-        assert sorted(repaired) == sorted(searches)  # once per distinct search
+        # once per distinct sample search, leaving out the tracker's repairs
+        assert sorted(i for i in repaired if i not in tracker) == sorted(searches)
         if st.r > r_old:
             grew = True
             new = st.samples[r_old:]
@@ -780,7 +778,7 @@ def test_identical_inputs_give_identical_states():
         gg = g.copy()
         st = init_bc(gg, params, "da")
         eff = apply_batch(gg, Batch(list(batch)))
-        update_combined(gg, st, eff)
+        update_bc(gg, st, eff)
         outs.append(scores(st))
     assert outs[0] == outs[1]
 
@@ -793,7 +791,7 @@ def test_scores_stay_in_unit_interval():
             continue
         st = init_bc(g, SamplingParams(0.3, 0.3, seed=rng.randrange(100)), "da")
         eff = apply_batch(g, Batch(random_valid_batch(rng, g, 4)))
-        update_combined(g, st, eff)
+        update_bc(g, st, eff)
         assert all(0.0 <= x <= 1.0 + 1e-12 for x in scores(st))
 
 

@@ -385,6 +385,18 @@ def test_cli_vd_bounds_rejects_negative_samples(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_cli_generate_rejects_unused_options(tmp_path, capsys):
+    out = str(tmp_path / "g.txt")
+    for extra, word in ((["--p", "0.5"], "'p'"), (["--directed"], "'directed'")):
+        with pytest.raises(SystemExit) as done:
+            cli_main(["generate", "--model", "path", "--n", "5", "--out", out] + extra)
+        assert done.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dynbc: error: ") and word in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "g.txt").exists()
+
+
 def test_perfbench_selftest_passes():
     # the benchmark's tracer patches names inside the package; its self-test
     # fails when a change to the package breaks one of those hooks
