@@ -31,7 +31,6 @@ from .dynsssp import (
     AffectedSet,
     DynSSSP,
     VisCounters,
-    local_vd_estimate,
     update_sssp,
     update_sssp_u,
     update_sssp_w,
@@ -62,14 +61,6 @@ from .sampling import (
     sample_path,
     sample_size,
 )
-from .vdbounds import (
-    VDBound,
-    vd_ub_directed,
-    vd_ub_directed_weighted,
-    vd_ub_strongly_connected,
-    vd_ub_unweighted_undirected,
-    vd_ub_weighted_undirected,
-    vd_upper_bound,
-)
+from .vdbounds import VDBound, local_vd_estimate, vd_upper_bound
 
 __version__ = "0.1.0"

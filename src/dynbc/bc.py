@@ -32,14 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # vd_upper_bound, local_vd_estimate and update_sssp are called through this
-# module's names, which perfbench/tracing.py patches to time and count them.
-from .dynsssp import DynSSSP, VisCounters, local_vd_estimate, update_sssp
+# module's names, so a profiler or a test can patch them here.
+from .dynsssp import DynSSSP, VisCounters, update_sssp
 from .errors import DeletionInIncrementalMode, InvalidParams
 from .exact import ExtendedSSSP, compute_extended_sssp
 from .graph import INSERT, SET_WEIGHT, dist_eq
 from .rng import stream
 from .sampling import SampledPath, sample_pair, sample_path, sample_size
-from .vdbounds import vd_upper_bound
+from .vdbounds import local_vd_estimate, vd_upper_bound
 
 _SAMPLE_DOMAIN = 1
 _RESAMPLE_DOMAIN = 2
@@ -146,10 +146,13 @@ class BCState:
     mode: str
     params: object
     scores: list[float]
-    r: int
     samples: list[SampleRecord]
     bound: StaticBound | VDTracker  # see BOUNDS
     round: int = 0
+
+    @property
+    def r(self):
+        return len(self.samples)
 
     @property
     def vd_bound(self):
@@ -177,13 +180,13 @@ def recount_scores(state):
 
 
 def _add_samples(g, state, r_new):
-    """Draw samples len(samples)..r_new-1, credit them at 1/r_new and set
-    the sample count to r_new. Existing mass is rescaled to the new rate
-    first. A dynamic state keeps each full search so later updates repair
-    it; samples drawn in one call from one source share a search, never an
-    older one, whose repaired distances may differ from a fresh search's in
-    the last bits. The static runner stops each search at its target, which
-    is all the path draw reads, and stores only the path."""
+    """Draw samples len(samples)..r_new-1 and credit them at 1/r_new.
+    Existing mass is rescaled to the new rate first. A dynamic state keeps
+    each full search so later updates repair it; samples drawn in one call
+    from one source share a search, never an older one, whose repaired
+    distances may differ from a fresh search's in the last bits. The static
+    runner stops each search at its target, which is all the path draw
+    reads, and stores only the path."""
     keep_state = state.mode != "static"
     params = state.params
     samples = state.samples
@@ -204,7 +207,6 @@ def _add_samples(g, state, r_new):
         samples.append(SampleRecord(s, t, sssp if keep_state else None, path))
         for v in path.internal:
             add[v] += inv
-    state.r = r_new
 
 
 def approximate_bc(g, params):
@@ -215,7 +217,7 @@ def approximate_bc(g, params):
     """
     if g.n < 2:
         raise InvalidParams("need at least two nodes")
-    state = BCState(g.n, "static", params, [0.0] * g.n, 0, [], StaticBound(g))
+    state = BCState(g.n, "static", params, [0.0] * g.n, [], StaticBound(g))
     _add_samples(g, state, sample_size(state.vd_bound, params))
     return state
 
@@ -233,7 +235,7 @@ def init_bc(g, params, mode):
     if mode in ("da", "daw") and g.directed:
         raise InvalidParams(f"mode {mode!r} needs an undirected graph")
 
-    state = BCState(g.n, mode, params, [0.0] * g.n, 0, [], BOUNDS[mode](g))
+    state = BCState(g.n, mode, params, [0.0] * g.n, [], BOUNDS[mode](g))
     _add_samples(g, state, sample_size(state.vd_bound, params))
     return state
 
@@ -275,6 +277,12 @@ def update_bc(g, state, events):
     may share one), keep or redraw each path in index order, refresh the
     state's bound object, and grow the sample set if its bound asks for
     more. ``events`` are ``apply_batch``'s effective events.
+
+    ``ia``/``iaw`` reject a deletion or a weight increase before touching
+    the state, but the graph already holds the batch. Later rounds would
+    repair searches that no longer describe it (and may raise
+    InconsistentState or keep stale samples): discard the state, or undo
+    the batch on the graph first.
 
     Keep or redraw. Let P and P' be the target's shortest paths before and
     after the batch, sigma = |P|, sigma' = |P'|, and q = |P & P'|; the

@@ -214,36 +214,38 @@ def build_scenario(g, spec, batch_size, events=None):
         raise NotEnoughEdges(f"x={spec.x} exceeds {len(all_edges)} edges")
     removed = rng.sample(all_edges, spec.x)
     initial = g.copy()
-    current = {}
-    for u, v, w in initial.edges():
-        current[(u, v)] = w
-    for u, v, w in removed:
+    for u, v, _ in removed:
         initial.delete_edge(u, v)
-        del current[(u, v)]
+    current = [(u, v) for u, v, _ in initial.edges()]  # deletion swap-removes
     pool = list(removed)
     rng.shuffle(pool)
     batches = []
     batch = []
     batch_pairs = set()
+    inserted = 0  # edges the batch inserted: present, but not eligible
     for _ in range(spec.x):
         do_insert = pool and (not current or rng.random() < 0.5)
         if do_insert:
             u, v, w = pool.pop()
             batch.append(EdgeEvent(u, v, INSERT, w))
-            current[(u, v)] = w
-            batch_pairs.add((u, v))
+            current.append((u, v))
+            inserted += 1
         else:
-            choices = [k for k in current if k not in batch_pairs]
-            if not choices:
+            if len(current) == inserted:
                 break
-            u, v = choices[rng.randrange(len(choices))]
+            i = rng.randrange(len(current))
+            while current[i] in batch_pairs:  # uniform over eligible edges
+                i = rng.randrange(len(current))
+            u, v = current[i]
             batch.append(EdgeEvent(u, v, DELETE))
-            del current[(u, v)]
-            batch_pairs.add((u, v))
+            current[i] = current[-1]
+            current.pop()
+        batch_pairs.add((u, v))
         if len(batch) == batch_size:
             batches.append(batch)
             batch = []
             batch_pairs = set()
+            inserted = 0
     if batch:
         batches.append(batch)
     return initial, batches

@@ -162,21 +162,6 @@ class DynSSSP:
             self.n2, self.d2 = v, dv
 
 
-def local_vd_estimate(g, state):
-    """Upper bound on the vertex diameter of the source's component.
-
-    Any shortest path x..y in the (undirected) component weighs at most
-    d(s, x) + d(s, y) <= d1 + d2, and running maxima only make d1 + d2
-    larger, so the bound is 1 + g.max_hops(d1 + d2): 1 + d1 + d2 when
-    unweighted; weighted, a path with h edges weighs at least the sum of
-    the h lightest edge weights in the graph. A component holding only the
-    source scores 1.
-    """
-    if state.reach <= 1:
-        return 1.0
-    return 1.0 + g.max_hops(state.d1 + state.d2)
-
-
 def update_sssp(g, state, events, vis=None):
     """Repair d and sigma with the weighted or unweighted update for g; any
     search with source, weighted, d and sigma will do. With ``vis`` the

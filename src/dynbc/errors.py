@@ -21,10 +21,6 @@ class MissingEdge(GraphError):
     pass
 
 
-class NotStronglyConnected(GraphError):
-    pass
-
-
 class Unreachable(GraphError):
     pass
 

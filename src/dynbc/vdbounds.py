@@ -1,19 +1,21 @@
-"""Static upper bounds on the vertex diameter, one per graph class.
+"""Upper bounds on the vertex diameter: ``vd_upper_bound`` for any graph,
+and the same per-component rule read off a tracker search.
 
 The vertex diameter (the node count of the hop-richest shortest path) feeds
 the sample-size formula, so only an upper bound is needed and it must be
-cheap: each bound here costs one or two searches per component, each kept
+cheap: one or two searches per (strongly) connected component, each kept
 inside it. Sources are always the lowest-index node of their component,
 which keeps the values deterministic. Undirected bounds find those sources
 with the searches themselves: scanning nodes in index order, each node that
 no earlier search reached roots the next one.
 
 Each search yields L, an upper bound on the weight of any shortest path in
-its component, and the bound is 1 + ``DynGraph.max_hops(L)``. Unweighted,
-such a path has at most L edges. Weighted, a path with h edges weighs at
-least the sum of the h lightest edge weights in the graph, so the vertex
-diameter is at most 1 + max{h : w(1) + ... + w(h) <= L}, with REL_TOL
-slack for rounding.
+its component: d(s, x) + d(s, y) <= d1 + d2, the two largest distances from
+the source s (undirected), or d(x, s) + d(s, y) (strongly connected). The
+bound is 1 + ``DynGraph.max_hops(L)``. Unweighted, such a path has at most
+L edges. Weighted, a path with h edges weighs at least the sum of the h
+lightest edge weights in the graph, so the vertex diameter is at most
+1 + max{h : w(1) + ... + w(h) <= L}, with REL_TOL slack for rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InvalidParams, NotStronglyConnected
 from .graph import INF, dist_lt, strongly_connected_components
 
 
@@ -30,12 +31,6 @@ from .graph import INF, dist_lt, strongly_connected_components
 class VDBound:
     value: float
     kind: str
-
-
-def _check(g, directed, weighted, name):
-    if g.directed != directed or g.weighted != weighted:
-        want = f"{'directed' if directed else 'undirected'} {'weighted' if weighted else 'unweighted'}"
-        raise InvalidParams(f"{name} needs a {want} graph")
 
 
 def _bfs_dists(adj, s, comp_of=None):
@@ -75,11 +70,10 @@ def _dijkstra_dists(adj, s, comp_of=None):
 
 
 def _cc_local_bounds(g):
-    """Per connected component: 1 + max_hops of the two largest distances
-    from the lowest-index member. Any shortest path x..y in the component
-    weighs at most d(s, x) + d(s, y) <= d1 + d2. Single-node components
-    score 1. A node that no earlier search reached is the lowest-index
-    member of a component not yet seen."""
+    """Per connected component: 1 + max_hops(d1 + d2), with d1 and d2 the
+    two largest distances from the lowest-index member. Single-node
+    components score 1. A node that no earlier search reached is the
+    lowest-index member of a component not yet seen."""
     search = _dijkstra_dists if g.weighted else _bfs_dists
     seen = bytearray(g.n)
     bounds = []
@@ -97,31 +91,21 @@ def _cc_local_bounds(g):
     return bounds
 
 
-def vd_ub_unweighted_undirected(g):
-    """Per component: 1 + the two largest BFS distances from one source."""
-    _check(g, False, False, "vd_ub_unweighted_undirected")
-    return VDBound(max(_cc_local_bounds(g), default=1.0), "UU")
-
-
-def vd_ub_strongly_connected(g, s):
-    """Max forward distance from s plus max backward distance to s, plus 1.
-
-    Never below the vertex diameter and always below twice it.
-    """
-    _check(g, True, False, "vd_ub_strongly_connected")
-    g._check_node(s)
-    fwd = _bfs_dists(g._adj, s)
-    bwd = _bfs_dists(g._radj, s)
-    if len(fwd) != g.n or len(bwd) != g.n:
-        raise NotStronglyConnected("graph is not strongly connected")
-    return VDBound(1.0 + max(fwd.values()) + max(bwd.values()), "SC")
+def local_vd_estimate(g, state):
+    """``_cc_local_bounds``'s 1 + max_hops(d1 + d2) for the component of a
+    tracker search (``dynsssp.DynSSSP``). Its d1/d2 are running maxima,
+    which only make d1 + d2 larger. A component holding only the source
+    scores 1."""
+    if state.reach <= 1:
+        return 1.0
+    return 1.0 + g.max_hops(state.d1 + state.d2)
 
 
 def _scc_local_bounds(g, cond):
     """Per-SCC bound: forward and backward searches from the lowest-index
     member s, stopped at the SCC boundary, give 1 + max_hops of fwd max +
-    bwd max. A shortest path x..y between members stays inside the SCC and
-    weighs at most d(x, s) + d(s, y). Single-node SCCs score 1."""
+    bwd max. A shortest path between members stays inside the SCC.
+    Single-node SCCs score 1."""
     search = _dijkstra_dists if g.weighted else _bfs_dists
     bounds = []
     for members in cond.members:
@@ -151,31 +135,14 @@ def _accumulate_over_dag(cond, local):
     return max(acc) if acc else 1.0
 
 
-def vd_ub_directed(g):
-    """Per-SCC bounds accumulated along the condensation DAG."""
-    _check(g, True, False, "vd_ub_directed")
-    cond = strongly_connected_components(g)
-    local = _scc_local_bounds(g, cond)
-    return VDBound(_accumulate_over_dag(cond, local), "DIR")
-
-
-def vd_ub_weighted_undirected(g):
-    """Per component: 1 + the most edges whose lightest-first weight sum
-    stays within the two largest distances from one source."""
-    _check(g, False, True, "vd_ub_weighted_undirected")
-    return VDBound(max(_cc_local_bounds(g), default=1.0), "W")
-
-
-def vd_ub_directed_weighted(g):
-    """Weighted per-SCC bounds accumulated along the condensation DAG."""
-    _check(g, True, True, "vd_ub_directed_weighted")
-    cond = strongly_connected_components(g)
-    local = _scc_local_bounds(g, cond)
-    return VDBound(_accumulate_over_dag(cond, local), "SCW")
-
-
 def vd_upper_bound(g):
-    """The class-appropriate bound for g."""
+    """Static upper bound on g's vertex diameter. Undirected: the largest
+    per-component bound. Directed: per-SCC bounds summed along the longest
+    path of the condensation DAG, since a shortest path crosses each SCC
+    at most once."""
     if g.directed:
-        return vd_ub_directed_weighted(g) if g.weighted else vd_ub_directed(g)
-    return vd_ub_weighted_undirected(g) if g.weighted else vd_ub_unweighted_undirected(g)
+        cond = strongly_connected_components(g)
+        value = _accumulate_over_dag(cond, _scc_local_bounds(g, cond))
+        return VDBound(value, "SCW" if g.weighted else "DIR")
+    value = max(_cc_local_bounds(g), default=1.0)
+    return VDBound(value, "W" if g.weighted else "UU")

@@ -36,11 +36,7 @@ from dynbc import (
     scores,
     update_bc,
     update_sssp,
-    vd_ub_directed,
-    vd_ub_directed_weighted,
-    vd_ub_strongly_connected,
-    vd_ub_unweighted_undirected,
-    vd_ub_weighted_undirected,
+    vd_upper_bound,
 )
 
 from helpers import WEIGHT_CHOICES, diamond, random_graph, random_valid_batch, three_path_pair
@@ -223,7 +219,7 @@ def test_criterion_5_vd_bound_soundness_and_envelopes():
             "erdos-renyi", n=n, p=rng.choice((0.08, 0.15, 0.3)), seed=3000 + t
         )
         vd = exact_vertex_diameter(g)
-        b = vd_ub_unweighted_undirected(g).value
+        b = vd_upper_bound(g).value
         assert vd <= b < 2 * vd
 
     for t in range(per_class):  # strongly connected
@@ -237,7 +233,7 @@ def test_criterion_5_vd_bound_soundness_and_envelopes():
             if i != j and not g.has_edge(i, j):
                 g.insert_edge(i, j)
         vd = exact_vertex_diameter(g)
-        b = vd_ub_strongly_connected(g, 0).value
+        b = vd_upper_bound(g).value
         assert vd <= b < 2 * vd
 
     for t in range(per_class):  # directed
@@ -247,7 +243,7 @@ def test_criterion_5_vd_bound_soundness_and_envelopes():
             seed=1000 + t, directed=True,
         )
         vd = exact_vertex_diameter(g)
-        b = vd_ub_directed(g).value
+        b = vd_upper_bound(g).value
         assert vd <= b < 2 * vd * vd
 
     for t in range(per_class):  # weighted undirected (connected)
@@ -260,7 +256,7 @@ def test_criterion_5_vd_bound_soundness_and_envelopes():
                 if rng.random() < 2.0 / n:
                     g.insert_edge(u, v, rng.choice(WEIGHT_CHOICES))
         vd = exact_vertex_diameter(g)
-        b = vd_ub_weighted_undirected(g).value
+        b = vd_upper_bound(g).value
         ws = [w for _, _, w in g.edges()]
         assert vd <= b < 2 * vd * max(ws) / min(ws)
 
@@ -272,7 +268,7 @@ def test_criterion_5_vd_bound_soundness_and_envelopes():
                 if u != v and rng.random() < 2.2 / n:
                     g.insert_edge(u, v, rng.choice(WEIGHT_CHOICES))
         vd = exact_vertex_diameter(g)
-        b = vd_ub_directed_weighted(g).value
+        b = vd_upper_bound(g).value
         assert vd <= b
         ws = [w for _, _, w in g.edges()]
         if ws:

@@ -60,7 +60,7 @@ def forced_state(g, params, mode, pairs):
         samples.append(SampleRecord(s, t, sssp, path))
         for v in path.internal:
             vals[v] += 1.0 / r
-    return BCState(g.n, mode, params, vals, r, samples, BOUNDS[mode](g))
+    return BCState(g.n, mode, params, vals, samples, BOUNDS[mode](g))
 
 
 def test_init_matches_static_runner():
@@ -157,6 +157,33 @@ def test_update_bc_rejects_static_state():
     st = approximate_bc(g, SamplingParams(0.3, 0.3))
     with pytest.raises(InvalidParams):
         update_bc(g, st, [])
+
+
+def test_rejected_incremental_batch_leaves_state_as_it_was():
+    # The rejection touches no state, but the graph already holds the
+    # batch. Once the batch is undone on the graph, later rounds match a
+    # twin state that never saw it. The twin runs on a copy of the restored
+    # graph: re-inserting an edge moves it in the adjacency order, which
+    # path draws read.
+    g = generate("dorogovtsev-mendes", n=200, seed=4)
+    params = SamplingParams(0.3, 0.3, seed=9)
+    st = init_bc(g, params, "ia")
+    twin = init_bc(g.copy(), params, "ia")
+    before = state_digest(st)
+    assert state_digest(twin) == before
+    u, v, _ = next(iter(g.edges()))
+    eff = apply_batch(g, [EdgeEvent(u, v, "delete")])
+    with pytest.raises(DeletionInIncrementalMode):
+        update_bc(g, st, eff)
+    assert state_digest(st) == before
+    apply_batch(g, [EdgeEvent(u, v)])
+    g_twin = g.copy()
+    rng = random.Random(17)
+    for _ in range(20):
+        batch = random_valid_batch(rng, g, 2, allow_delete=False)
+        update_bc(g, st, apply_batch(g, batch))
+        update_bc(g_twin, twin, apply_batch(g_twin, batch))
+        assert state_digest(st) == state_digest(twin)
 
 
 def test_incremental_untouched_batch_is_bit_identical():

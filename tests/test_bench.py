@@ -168,6 +168,35 @@ def test_random_scenario_events_are_applicable():
     ]
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_random_scenario_batches_touch_each_pair_once(directed):
+    # dense batches on small graphs, so deletions often find few eligible
+    # edges and some runs stop early with none left
+    stopped_early = 0
+    for seed in range(40):
+        g = generate("erdos-renyi", n=8, p=0.3, seed=seed, directed=directed)
+        if g.m < 4:
+            continue
+        x = 4 if seed % 2 else g.m
+        b = 1 << (x.bit_length() - 1)
+        spec = ScenarioSpec("random", x, [b], seed=seed)
+        initial, batches = build_scenario(g, spec, b)
+        stopped_early += sum(map(len, batches)) < x
+        replay = initial.copy()
+        for batch in batches:
+            keys = [(e.u, e.v) if directed else (min(e.u, e.v), max(e.u, e.v))
+                    for e in batch]
+            assert len(set(keys)) == len(keys)
+            for ev in batch:
+                if ev.op == "delete":
+                    assert replay.has_edge(ev.u, ev.v)
+                    replay.delete_edge(ev.u, ev.v)
+                else:
+                    assert not replay.has_edge(ev.u, ev.v)
+                    replay.insert_edge(ev.u, ev.v, ev.weight)
+    assert stopped_early > 0
+
+
 def test_weights_scenario_factors_in_open_interval():
     g = generate("erdos-renyi", n=20, p=0.3, seed=2, weighted=True)
     weights = {(u, v): w for u, v, w in g.edges()}
