@@ -41,11 +41,9 @@ from .graph import (
     INF,
     INSERT,
     SET_WEIGHT,
-    Batch,
     DynGraph,
     EdgeEvent,
     apply_batch,
-    connected_components,
     dist_eq,
     dist_lt,
     exact_vertex_diameter,

@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
 )
 from .exact import brandes_exact
-from .graph import DELETE, INSERT, SET_WEIGHT, Batch, DynGraph, EdgeEvent, apply_batch
+from .graph import DELETE, INSERT, SET_WEIGHT, DynGraph, EdgeEvent, apply_batch
 
 SCENARIOS = ("real", "random", "weights")
 _POW2 = {1 << i for i in range(11)}  # 1 .. 1024
@@ -304,7 +304,7 @@ def run_experiment(
             t_dyn = 0.0
             for batch in batches:
                 t0 = time.perf_counter()
-                eff = apply_batch(g_run, Batch(batch))
+                eff = apply_batch(g_run, batch)
                 update_bc(g_run, state, eff)
                 t_dyn += time.perf_counter() - t0
                 applied += len(eff)

@@ -2,13 +2,16 @@
 
 Nodes are dense integers in [0, n) and the node set is fixed when a graph is
 built. Edges carry positive finite weights (pinned to 1 on unweighted graphs).
-Batches of edge events are validated and canonicalized before they touch the
-adjacency structure, so an update algorithm downstream sees at most one
-effective event per node pair.
+Every change to the edges goes through one private writer,
+``DynGraph._write``. A batch is any iterable of ``EdgeEvent``; ``apply_batch``
+validates and canonicalizes it before it touches the adjacency structure, so
+an update algorithm downstream sees at most one effective event per node
+pair.
 
-The module also houses component machinery, small deterministic generators
-and the brute-force vertex-diameter computation that the test suite uses as
-an oracle.
+The module also houses the component labelers (weak components, which are
+the connected components of an undirected graph, and SCCs), small
+deterministic generators and the brute-force vertex-diameter computation
+that the test suite uses as an oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     DuplicateInsert,
@@ -85,19 +89,6 @@ class EdgeEvent:
                 raise InvalidParams(f"{self.op} weight must be positive and finite")
         if self.timestamp is not None and self.timestamp < 0:
             raise InvalidParams("timestamp must be non-negative")
-
-
-@dataclass
-class Batch:
-    """An ordered sequence of edge events applied as one update round."""
-
-    events: list[EdgeEvent] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self):
-        return len(self.events)
 
 
 class DynGraph:
@@ -215,28 +206,14 @@ class DynGraph:
             raise InvalidParams("edge weight must be positive and finite")
         if not self.weighted and w != 1.0:
             raise InvalidParams("unweighted graphs carry unit weights")
-        self._adj[u][v] = w
-        if self.directed:
-            self._radj[v][u] = w
-        else:
-            self._adj[v][u] = w
-        self._m += 1
-        if self._wsorted is not None:
-            bisect.insort(self._wsorted, w)
+        self._write(u, v, w)
 
     def delete_edge(self, u, v):
         self._check_node(u)
         self._check_node(v)
         if v not in self._adj[u]:
             raise MissingEdge(f"edge ({u}, {v}) not present")
-        w = self._adj[u].pop(v)
-        if self.directed:
-            del self._radj[v][u]
-        else:
-            del self._adj[v][u]
-        self._m -= 1
-        if self._wsorted is not None:
-            self._drop_weight(w)
+        self._write(u, v, None)
 
     def set_weight(self, u, v, w):
         if not self.weighted:
@@ -247,22 +224,33 @@ class DynGraph:
             raise MissingEdge(f"edge ({u}, {v}) not present")
         if not (w > 0 and math.isfinite(w)):
             raise InvalidParams("edge weight must be positive and finite")
-        if self._wsorted is not None:
-            self._drop_weight(self._adj[u][v])
-            bisect.insort(self._wsorted, w)
-        self._adj[u][v] = w
-        if self.directed:
-            self._radj[v][u] = w
-        else:
-            self._adj[v][u] = w
+        self._write(u, v, w)
 
-    def _drop_weight(self, w):
+    def _write(self, u, v, w):
+        """Give edge (u, v) weight w, or remove it when w is None, with no
+        checks. The only writer of the maps, ``_m`` and ``_wsorted``. On an
+        undirected graph ``_radj`` is ``_adj``, so the one assignment covers
+        both directions. An existing edge is assigned in place: weighted
+        searches keep the first of two near-equal sums, so moving an edge
+        within its dict would change their results."""
+        out, rev = self._adj[u], self._radj[v]
+        old = out.get(v)
+        if w is None:
+            del out[v], rev[u]
+        else:
+            out[v] = rev[u] = w
+        self._m += (w is not None) - (old is not None)
         ws = self._wsorted
-        del ws[bisect.bisect_left(ws, w)]
+        if ws is not None:
+            if old is not None:
+                del ws[bisect.bisect_left(ws, old)]
+            if w is not None:
+                bisect.insort(ws, w)
 
 
 def apply_batch(g, batch):
-    """Apply a batch and return the canonical list of effective events.
+    """Apply a batch, any iterable of EdgeEvent, and return the canonical
+    list of effective events.
 
     Events are validated in order against the running per-pair state, so
     insert(a,b) followed by delete(a,b) is legal (and cancels), while two
@@ -272,22 +260,14 @@ def apply_batch(g, batch):
     post-batch graphs, in first-touched order. Effective delete/set-weight
     events record the pre-batch weight in ``old_weight``.
     """
-    events = list(batch.events) if isinstance(batch, Batch) else list(batch)
     pair_state = {}
-    initial = {}
-    order = []
-    for ev in events:
+    initial = {}  # pre-batch weight of each touched pair, first-touched order
+    for ev in batch:
         g._check_node(ev.u)
         g._check_node(ev.v)
-        if g.directed:
-            k = (ev.u, ev.v)
-        else:
-            k = (ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u)
+        k = (ev.u, ev.v) if g.directed or ev.u < ev.v else (ev.v, ev.u)
         if k not in pair_state:
-            w0 = g._adj[k[0]].get(k[1])
-            pair_state[k] = w0
-            initial[k] = w0
-            order.append(k)
+            pair_state[k] = initial[k] = g._adj[k[0]].get(k[1])
         cur = pair_state[k]
         if ev.op == INSERT:
             if cur is not None:
@@ -307,17 +287,17 @@ def apply_batch(g, batch):
             pair_state[k] = ev.weight
 
     effective = []
-    for k in order:
-        before = initial[k]
-        after = pair_state[k]
-        u, v = k
-        if before is None and after is not None:
+    for (u, v), before in initial.items():
+        after = pair_state[u, v]
+        if before == after:
+            continue
+        if before is None:
             g.insert_edge(u, v, after)
             effective.append(EdgeEvent(u, v, INSERT, after))
-        elif before is not None and after is None:
+        elif after is None:
             g.delete_edge(u, v)
             effective.append(EdgeEvent(u, v, DELETE, old_weight=before))
-        elif before is not None and after is not None and before != after:
+        else:
             g.set_weight(u, v, after)
             effective.append(EdgeEvent(u, v, SET_WEIGHT, after, old_weight=before))
     return effective
@@ -326,36 +306,24 @@ def apply_batch(g, batch):
 # -- components ------------------------------------------------------------
 
 
-def connected_components(g):
-    """Label connected components of an undirected graph.
+def weakly_connected_components(g):
+    """Label components with edge direction ignored; on an undirected graph
+    these are its connected components.
 
     Returns (labels, count) with labels assigned in order of the lowest
     node index contained in each component.
     """
-    if g.directed:
-        raise InvalidParams("connected_components needs an undirected graph")
-    return _components(g._adj, g.n)
-
-
-def weakly_connected_components(g):
-    """Component labeling ignoring edge direction."""
-    if not g.directed:
-        return _components(g._adj, g.n)
-    merged = [set(g._adj[v]) | set(g._radj[v]) for v in range(g.n)]
-    return _components(merged, g.n)
-
-
-def _components(adj, n):
-    labels = [-1] * n
+    adj, radj, directed = g._adj, g._radj, g.directed
+    labels = [-1] * g.n
     count = 0
-    for start in range(n):
+    for start in range(g.n):
         if labels[start] != -1:
             continue
         labels[start] = count
         dq = deque([start])
         while dq:
             u = dq.popleft()
-            for v in adj[u]:
+            for v in chain(adj[u], radj[u]) if directed else adj[u]:
                 if labels[v] == -1:
                     labels[v] = count
                     dq.append(v)

@@ -15,7 +15,6 @@ from collections import Counter
 import pytest
 
 from dynbc import (
-    Batch,
     DynGraph,
     EdgeEvent,
     INF,
@@ -25,7 +24,6 @@ from dynbc import (
     approximate_bc,
     brandes_exact,
     compute_extended_sssp,
-    connected_components,
     dist_eq,
     exact_vertex_diameter,
     generate,
@@ -37,6 +35,7 @@ from dynbc import (
     update_bc,
     update_sssp,
     vd_upper_bound,
+    weakly_connected_components,
 )
 
 from helpers import WEIGHT_CHOICES, diamond, random_graph, random_valid_batch, three_path_pair
@@ -94,7 +93,7 @@ def test_criterion_1_dynamic_sssp_oracle_equivalence():
             src = rng.randrange(n)
             st = compute_extended_sssp(g, src)
             events = random_valid_batch(rng, g, batch_sizes[trial % 4])
-            eff = apply_batch(g, Batch(events))
+            eff = apply_batch(g, events)
             update_sssp(g, st, eff)
             fresh = compute_extended_sssp(g, src)
             for v in range(n):
@@ -167,7 +166,7 @@ def _fixed_batches(g0, stream_seed, batches=10, size=16, allow_weight=False):
     out = []
     for _ in range(batches):
         events = random_valid_batch(rng, sim, size, allow_weight=allow_weight)
-        apply_batch(sim, Batch(events))
+        apply_batch(sim, events)
         out.append(events)
     return out
 
@@ -184,7 +183,7 @@ def _dynamic_guarantee(graphs, mode, eps=0.1):
             g = g0.copy()
             state = init_bc(g, params, mode)
             for events in batch_stream:
-                eff = apply_batch(g, Batch(events))
+                eff = apply_batch(g, events)
                 update_bc(g, state, eff)
                 _assert_recount(state)
             if final_exact is None:
@@ -292,11 +291,11 @@ def test_criterion_6_dynamic_vd_tracker():
         tracker = VDTracker(g)
         for _ in range(3):
             events = random_valid_batch(rng, g, rng.choice((1, 4, 8)))
-            eff = apply_batch(g, Batch(events))
+            eff = apply_batch(g, events)
             bound = tracker.refresh(g, eff)
             batches_total += 1
             assert all(x == 1 for x in tracker.vis.vis)
-            labels, count = connected_components(g)
+            labels, count = weakly_connected_components(g)
             assert len(tracker.sources) == count
             assert sorted(labels[st.source] for st in tracker.sources) == list(
                 range(count)
@@ -343,7 +342,7 @@ def test_criterion_8_update_speedup_over_recompute():
     for _ in range(10):
         events = random_valid_batch(rng, g, 1)
         t_up = time.perf_counter()
-        eff = apply_batch(g, Batch(events))
+        eff = apply_batch(g, events)
         update_bc(g, state, eff)
         update_times.append(time.perf_counter() - t_up)
     median_update = statistics.median(update_times)

@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from dynbc import (
-    Batch,
     DynGraph,
     DynSSSP,
     EdgeEvent,
@@ -18,7 +17,6 @@ from dynbc import (
     approximate_bc,
     brandes_exact,
     compute_extended_sssp,
-    connected_components,
     dist_eq,
     exact_vertex_diameter,
     generate,
@@ -29,6 +27,7 @@ from dynbc import (
     scores,
     update_bc,
     vd_upper_bound,
+    weakly_connected_components,
 )
 import dynbc.bc
 from dynbc.bc import BOUNDS, BCState, SampleRecord, _SAMPLE_DOMAIN
@@ -401,8 +400,8 @@ def test_combined_pure_insertions_equal_incremental():
     g_ia = g.copy()
     g_da = g.copy()
     batch = [EdgeEvent(0, 2), EdgeEvent(3, 5)]
-    update_bc(g_ia, st_ia, apply_batch(g_ia, Batch(list(batch))))
-    update_bc(g_da, st_da, apply_batch(g_da, Batch(list(batch))))
+    update_bc(g_ia, st_ia, apply_batch(g_ia, batch))
+    update_bc(g_da, st_da, apply_batch(g_da, batch))
     assert scores(st_ia) == scores(st_da)
     assert st_ia.r == st_da.r
 
@@ -432,7 +431,7 @@ def test_incremental_bound_covers_vertex_diameter(mode):
     g, events = _kept_bound_cases(mode)
     params = SamplingParams(0.1, 0.1)
     st = init_bc(g, params, mode)
-    update_bc(g, st, apply_batch(g, Batch(events)))
+    update_bc(g, st, apply_batch(g, events))
     vd = exact_vertex_diameter(g)
     assert st.vd_bound >= vd
     assert st.r >= sample_size(vd, params)
@@ -474,7 +473,7 @@ def test_incremental_bound_covers_vertex_diameter_over_streams(mode, directed):
         st = init_bc(g, params, mode)
         for _ in range(10):
             events = _incremental_batch(rng, g, rng.choice((1, 2, 4)))
-            update_bc(g, st, apply_batch(g, Batch(events)))
+            update_bc(g, st, apply_batch(g, events))
             vd = exact_vertex_diameter(g)
             assert st.vd_bound >= vd
             assert st.r >= sample_size(vd, params)
@@ -509,7 +508,7 @@ def test_bound_calls_go_through_bc_names(mode, directed, monkeypatch):
         calls.clear()
         searches = len({id(rec.sssp) for rec in st.samples})
         tracker = set(map(id, st.aux_sources))
-        update_bc(g, st, apply_batch(g, Batch(events)))
+        update_bc(g, st, apply_batch(g, events))
         if directed:
             want = {"vd_upper_bound": 1, "update_sssp": searches}
         else:
@@ -558,7 +557,7 @@ def _combined_stream(rng, mode, n):
     shadow = g.copy()
     for _ in range(5):
         events = random_valid_batch(rng, shadow, rng.choice((1, 3, 6)))
-        apply_batch(shadow, Batch(list(events)))
+        apply_batch(shadow, events)
         batches.append(events)
     return g, batches
 
@@ -574,7 +573,7 @@ def test_combined_bound_does_not_depend_on_sampling_seed():
             st = init_bc(g, SamplingParams(0.3, 0.3, seed=seed), mode)
             bounds = [st.vd_bound]
             for events in batches:
-                update_bc(g, st, apply_batch(g, Batch(list(events))))
+                update_bc(g, st, apply_batch(g, events))
                 bounds.append(st.vd_bound)
             runs.append(bounds)
         assert runs[0] == runs[1], (trial, mode)
@@ -590,9 +589,9 @@ def test_combined_tracker_invariants_through_update_bc():
         st = init_bc(g, params, mode)
         assert st.vd_bound == vd_upper_bound(g).value
         for events in batches:
-            update_bc(g, st, apply_batch(g, Batch(list(events))))
+            update_bc(g, st, apply_batch(g, events))
             batches_seen += 1
-            labels, count = connected_components(g)
+            labels, count = weakly_connected_components(g)
             assert sorted(labels[aux.source] for aux in st.bound.sources) == list(
                 range(count)
             )
@@ -676,7 +675,7 @@ def _stream_digest(mode, seed, weights=WEIGHT_CHOICES, rs=None):
             allow_weight=not incremental,
             weights=weights,
         )
-        update_bc(g, st, apply_batch(g, Batch(events)))
+        update_bc(g, st, apply_batch(g, events))
         digests.append(state_digest(st))
     if rs is not None:
         rs.append(st.r)
@@ -724,7 +723,7 @@ def test_samples_share_one_search_per_source(monkeypatch):
         events = random_valid_batch(
             rng, g, rng.choice((1, 3, 6)), weights=NEAR_TIE_WEIGHTS
         )
-        update_bc(g, st, apply_batch(g, Batch(events)))
+        update_bc(g, st, apply_batch(g, events))
         # once per distinct sample search, leaving out the tracker's repairs
         assert sorted(i for i in repaired if i not in tracker) == sorted(searches)
         if st.r > r_old:
@@ -755,7 +754,7 @@ def test_update_bc_dispatch_and_recount():
             )
             if not allow_del:
                 events = [ev for ev in events if ev.op == "insert"]
-            eff = apply_batch(g, Batch(events))
+            eff = apply_batch(g, events)
             update_bc(g, st, eff)
             got = scores(st)
             rec = recount_scores(st)
@@ -773,7 +772,7 @@ def test_sampled_paths_stay_shortest_after_updates():
         st = init_bc(g, params, mode)
         for _ in range(4):
             events = random_valid_batch(rng, g, 5, allow_weight=weighted)
-            eff = apply_batch(g, Batch(events))
+            eff = apply_batch(g, events)
             update_bc(g, st, eff)
             for rec in st.samples:
                 fresh = compute_extended_sssp(g, rec.s)
@@ -804,7 +803,7 @@ def test_identical_inputs_give_identical_states():
     for _ in range(2):
         gg = g.copy()
         st = init_bc(gg, params, "da")
-        eff = apply_batch(gg, Batch(list(batch)))
+        eff = apply_batch(gg, batch)
         update_bc(gg, st, eff)
         outs.append(scores(st))
     assert outs[0] == outs[1]
@@ -817,7 +816,7 @@ def test_scores_stay_in_unit_interval():
         if g.m < 3:
             continue
         st = init_bc(g, SamplingParams(0.3, 0.3, seed=rng.randrange(100)), "da")
-        eff = apply_batch(g, Batch(random_valid_batch(rng, g, 4)))
+        eff = apply_batch(g, random_valid_batch(rng, g, 4))
         update_bc(g, st, eff)
         assert all(0.0 <= x <= 1.0 + 1e-12 for x in scores(st))
 

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from dynbc import (
-    Batch,
     DynGraph,
     SamplingParams,
     apply_batch,
@@ -141,7 +140,7 @@ def test_real_scenario_reconstructs_edges(tmp_path):
     assert stamps == sorted(stamps)
     replay = initial.copy()
     for b in batches:
-        apply_batch(replay, Batch(b))
+        apply_batch(replay, b)
     assert sorted(replay.edges()) == sorted(g.edges())
 
 
@@ -161,7 +160,7 @@ def test_random_scenario_events_are_applicable():
     assert sum(len(b) for b in batches) == 16
     replay = initial.copy()
     for b in batches:
-        apply_batch(replay, Batch(b))  # validity is the assertion
+        apply_batch(replay, b)  # validity is the assertion
     again_initial, again_batches = build_scenario(g, spec, 4)
     assert [[(e.u, e.v, e.op) for e in b] for b in batches] == [
         [(e.u, e.v, e.op) for e in b] for b in again_batches
@@ -272,7 +271,7 @@ def test_run_experiment_reports_initial_r_and_final_bound():
     st = init_bc(g_run, params, "da")
     assert rep.r_initial == st.r
     for batch in batches:
-        update_bc(g_run, st, apply_batch(g_run, Batch(batch)))
+        update_bc(g_run, st, apply_batch(g_run, batch))
     assert (rep.r_final, rep.vd_bound_final) == (st.r, st.vd_bound)
 
 

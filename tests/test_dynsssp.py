@@ -3,7 +3,6 @@ import random
 import pytest
 
 from dynbc import (
-    Batch,
     DynGraph,
     DynSSSP,
     EdgeEvent,
@@ -138,7 +137,7 @@ def test_oracle_equivalence_randomized():
             st = compute_extended_sssp(g, src)
             size = rng.choice((1, 4, 16))
             events = random_valid_batch(rng, g, size)
-            eff = apply_batch(g, Batch(events))
+            eff = apply_batch(g, events)
             update_sssp(g, st, eff)
             assert_matches_fresh(g, st)
 
@@ -175,7 +174,7 @@ def test_near_tie_weights_match_path_oracle():
             events = random_valid_batch(
                 rng, g, rng.choice((1, 3)), weights=NEAR_TIE_WEIGHTS
             )
-            update_sssp(g, st, apply_batch(g, Batch(events)))
+            update_sssp(g, st, apply_batch(g, events))
             assert_matches_fresh(g, st)
             for t in targets:
                 _assert_matches_path_oracle(g, st, t)
@@ -189,7 +188,7 @@ def test_non_affected_nodes_keep_bit_identical_values():
         st = compute_extended_sssp(g, 0)
         before_d = list(st.d)
         before_sig = list(st.sigma)
-        eff = apply_batch(g, Batch(random_valid_batch(rng, g, 6)))
+        eff = apply_batch(g, random_valid_batch(rng, g, 6))
         aff = update_sssp(g, st, eff)
         assert aff.nodes <= aff.old_d.keys()
         assert all(aff.old_d[v] == before_d[v] for v in aff.old_d)
@@ -206,7 +205,7 @@ def test_vis_recount_invariant():
         g = random_graph(rng, n, avg_deg=1.5, weighted=trial % 2 == 1)
         vis = VisCounters.zeros(n)
         sources = [DynSSSP.initial(g, s, vis) for s in (0, n // 2, n - 1)]
-        eff = apply_batch(g, Batch(random_valid_batch(rng, g, 5)))
+        eff = apply_batch(g, random_valid_batch(rng, g, 5))
         for st in sources:
             update_sssp(g, st, eff, vis)
             assert_matches_fresh(g, st)
@@ -268,7 +267,7 @@ def test_estimate_stays_above_component_vd_under_updates():
             vis = VisCounters.zeros(n)
             st = DynSSSP.initial(g, 0, vis)
             for _ in range(3):
-                eff = apply_batch(g, Batch(random_valid_batch(rng, g, 4)))
+                eff = apply_batch(g, random_valid_batch(rng, g, 4))
                 update_sssp(g, st, eff, vis)
                 est = local_vd_estimate(g, st)
                 comp = _component_subgraph(g, st)

@@ -1,18 +1,21 @@
+"""Tests of ``bc.VDTracker``, the fully dynamic vertex-diameter tracker.
+The file keeps the name of ``dynvd``, the module the tracker used to live
+in, so that its test ids stay stable."""
+
 import random
 
 import pytest
 
 from dynbc import (
-    Batch,
     DynGraph,
     EdgeEvent,
     apply_batch,
-    connected_components,
     exact_vertex_diameter,
     VDTracker,
     generate,
     local_vd_estimate,
     vd_upper_bound,
+    weakly_connected_components,
 )
 from dynbc.errors import InvalidParams
 
@@ -20,7 +23,7 @@ from helpers import induced_subgraph, random_graph, random_valid_batch, spread_w
 
 
 def check_tracker(g, tracker):
-    labels, count = connected_components(g)
+    labels, count = weakly_connected_components(g)
     assert all(x == 1 for x in tracker.vis.vis)
     assert len(tracker.sources) == count
     assert sorted(labels[st.source] for st in tracker.sources) == list(range(count))
@@ -115,7 +118,7 @@ def test_randomized_merge_split_sequences():
         check_tracker(g, tr)
         for _ in range(3):
             events = random_valid_batch(rng, g, rng.choice((1, 3, 6)))
-            eff = apply_batch(g, Batch(events))
+            eff = apply_batch(g, events)
             bound = tr.refresh(g, eff)
             assert bound == tr.bound
             check_tracker(g, tr)
@@ -129,7 +132,7 @@ def test_randomized_weighted_sequences():
         tr = VDTracker(g)
         for _ in range(3):
             events = random_valid_batch(rng, g, rng.choice((2, 5)))
-            eff = apply_batch(g, Batch(events))
+            eff = apply_batch(g, events)
             tr.refresh(g, eff)
             check_tracker(g, tr)
 
@@ -147,8 +150,8 @@ def test_tracker_estimates_cover_each_component_vd():
             for ev in events:
                 if ev.op != "delete":
                     ev.weight = spread_weight(rng)
-            tr.refresh(g, apply_batch(g, Batch(events)))
-            labels, _ = connected_components(g)
+            tr.refresh(g, apply_batch(g, events))
+            labels, _ = weakly_connected_components(g)
             for st in tr.sources:
                 members = [v for v in range(n) if labels[v] == labels[st.source]]
                 comp = induced_subgraph(g, members)
@@ -164,6 +167,6 @@ def test_static_bound_equals_tracker_bound():
         for trial in range(100):
             n = rng.randrange(4, 40)
             g = random_graph(rng, n, avg_deg=1.0, weighted=weighted)
-            split += connected_components(g)[1] > 1
+            split += weakly_connected_components(g)[1] > 1
             assert vd_upper_bound(g).value == VDTracker(g).bound
     assert split > 100

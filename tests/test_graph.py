@@ -3,11 +3,9 @@ import random
 import pytest
 
 from dynbc import (
-    Batch,
     DynGraph,
     EdgeEvent,
     apply_batch,
-    connected_components,
     exact_vertex_diameter,
     generate,
     strongly_connected_components,
@@ -103,9 +101,28 @@ def test_sorted_weights_follow_every_mutation():
             for ev in events:
                 if ev.op != "delete":
                     ev.weight = spread_weight(rng)
-            apply_batch(g, Batch(events))
+            apply_batch(g, events)
             assert g._wsorted == sorted(w for *_, w in g.edges())
         assert g.copy()._wsorted is None
+
+
+def test_set_weight_keeps_edge_positions():
+    # weighted searches keep the first of two near-equal sums, so a weight
+    # change must not move the edge within either endpoint's map
+    rng = random.Random(5)
+    for directed in (False, True):
+        g = random_graph(rng, 12, avg_deg=3.0, directed=directed, weighted=True)
+        g.max_hops(0.0)
+        for step, (u, v, _) in enumerate(list(g.edges())):
+            out_order, in_order = list(g._adj[u]), list(g._radj[v])
+            w = spread_weight(rng)
+            if step % 2:
+                g.set_weight(u, v, w)
+            else:
+                assert len(apply_batch(g, [EdgeEvent(u, v, "set-weight", w)])) == 1
+            assert list(g._adj[u]) == out_order and list(g._radj[v]) == in_order
+            assert g._adj[u][v] == g._radj[v][u] == w
+            assert g._wsorted == sorted(x for *_, x in g.edges())
 
 
 def test_directed_reverse_adjacency():
@@ -119,7 +136,7 @@ def test_directed_reverse_adjacency():
 def test_apply_batch_empty_is_identity():
     g = DynGraph(3)
     g.insert_edge(0, 1)
-    assert apply_batch(g, Batch([])) == []
+    assert apply_batch(g, []) == []
     assert g.m == 1
 
 
@@ -182,7 +199,7 @@ def test_apply_batch_matches_sequential_replay():
                 replayed.delete_edge(ev.u, ev.v)
             else:
                 replayed.set_weight(ev.u, ev.v, ev.weight)
-        eff = apply_batch(g, Batch(events))
+        eff = apply_batch(g, events)
         assert g._adj == replayed._adj
         if directed:
             assert g._radj == replayed._radj
@@ -253,21 +270,22 @@ def test_condensation_is_acyclic_and_reverse_topological():
 
 def test_connected_components_basics():
     p3 = generate("path", n=3)
-    labels, count = connected_components(p3)
+    labels, count = weakly_connected_components(p3)
     assert count == 1
     g = DynGraph(4)
     g.insert_edge(0, 1)
     g.insert_edge(1, 2)
-    labels, count = connected_components(g)
+    labels, count = weakly_connected_components(g)
     assert count == 2
     assert labels[3] != labels[0]
 
 
 def test_connected_components_match_union_find():
+    # directed graphs are compared with union-find on their undirected shadow
     rng = random.Random(7)
-    for _ in range(50):
-        g = random_graph(rng, 10, avg_deg=1.2)
-        labels, count = connected_components(g)
+    for trial in range(100):
+        g = random_graph(rng, 10, avg_deg=1.2, directed=trial >= 50)
+        labels, count = weakly_connected_components(g)
         uf_labels, uf_count = uf_components(g)
         assert count == uf_count
         pairing = {}
