@@ -35,7 +35,14 @@ from .dynsssp import (
     update_sssp_u,
     update_sssp_w,
 )
-from .exact import ExtendedSSSP, brandes_exact, compute_extended_sssp, predecessors
+from .exact import (
+    ExtendedSSSP,
+    brandes_exact,
+    compute_extended_sssp,
+    exact_vertex_diameter,
+    max_shortest_path_hops,
+    predecessors,
+)
 from .graph import (
     DELETE,
     INF,
@@ -46,9 +53,7 @@ from .graph import (
     apply_batch,
     dist_eq,
     dist_lt,
-    exact_vertex_diameter,
     generate,
-    max_shortest_path_hops,
     strongly_connected_components,
     weakly_connected_components,
 )

@@ -20,8 +20,8 @@ import sys
 from .bc import MODES
 from .bench import SCENARIOS, ScenarioSpec, load_edge_list, run_experiment
 from .errors import GraphError
-from .exact import brandes_exact
-from .graph import generate, max_shortest_path_hops, weakly_connected_components
+from .exact import brandes_exact, max_shortest_path_hops
+from .graph import generate, weakly_connected_components
 from .sampling import SamplingParams
 from .vdbounds import vd_upper_bound
 

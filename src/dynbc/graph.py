@@ -9,15 +9,13 @@ an update algorithm downstream sees at most one effective event per node
 pair.
 
 The module also houses the component labelers (weak components, which are
-the connected components of an undirected graph, and SCCs), small
-deterministic generators and the brute-force vertex-diameter computation
-that the test suite uses as an oracle.
+the connected components of an undirected graph, and SCCs) and small
+deterministic generators.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import random
 from collections import deque
@@ -265,6 +263,11 @@ def apply_batch(g, batch):
     for ev in batch:
         g._check_node(ev.u)
         g._check_node(ev.v)
+        # EdgeEvent is mutable: recheck its constructor's checks before any write
+        if ev.u == ev.v:
+            raise InvalidParams(f"self-loop ({ev.u}, {ev.v}) rejected")
+        if ev.op != DELETE and not (ev.weight > 0 and math.isfinite(ev.weight)):
+            raise InvalidParams(f"{ev.op} weight must be positive and finite")
         k = (ev.u, ev.v) if g.directed or ev.u < ev.v else (ev.v, ev.u)
         if k not in pair_state:
             pair_state[k] = initial[k] = g._adj[k[0]].get(k[1])
@@ -407,89 +410,6 @@ def strongly_connected_components(g):
             if cu != cv:
                 dag[cu].add(cv)
     return Condensation(comp_of, k, dag, members)
-
-
-# -- exact vertex diameter (test-scale oracle) -------------------------------
-
-
-def max_shortest_path_hops(g, s):
-    """Most edges on any shortest path leaving s.
-
-    Unweighted graphs: the eccentricity of s. Weighted graphs: among all
-    minimum-weight paths from s, the hop count of the hop-richest one
-    (full Dijkstra plus a pass over the shortest-path DAG). 0 when nothing
-    else is reachable.
-    """
-    n = g.n
-    adj = g._adj
-    if not g.weighted:
-        dist = [-1] * n
-        dist[s] = 0
-        dq = deque([s])
-        ecc = 0
-        while dq:
-            u = dq.popleft()
-            du = dist[u]
-            if du > ecc:
-                ecc = du
-            for v in adj[u]:
-                if dist[v] == -1:
-                    dist[v] = du + 1
-                    dq.append(v)
-        return ecc
-    dist = [INF] * n
-    dist[s] = 0.0
-    settled = bytearray(n)
-    heap = [(0.0, s)]
-    order = []
-    while heap:
-        du, u = heapq.heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = 1
-        order.append(u)
-        for v, w in adj[u].items():
-            if settled[v]:
-                continue
-            c = du + w
-            if dist_lt(c, dist[v]):
-                dist[v] = c
-                heapq.heappush(heap, (c, v))
-    radj = g._radj
-    hops = [-1] * n
-    hops[s] = 0
-    best = 0
-    for v in order:
-        if v == s:
-            continue
-        dv = dist[v]
-        h = -1
-        for u, w in radj[v].items():
-            if hops[u] >= 0 and dist_eq(dist[u] + w, dv):
-                if hops[u] > h:
-                    h = hops[u]
-        hops[v] = h + 1
-        if hops[v] > best:
-            best = hops[v]
-    return best
-
-
-def exact_vertex_diameter(g):
-    """Number of nodes on the hop-richest shortest path, by exhaustion.
-
-    Every ordered reachable pair is considered; among equal-weight shortest
-    paths the one with the most nodes counts. An isolated node yields 1 by
-    convention (an edgeless graph has no two-node shortest path). Intended
-    for test-scale graphs only.
-    """
-    if g.n == 0:
-        raise InvalidParams("empty graph")
-    best = 0
-    for s in range(g.n):
-        h = max_shortest_path_hops(g, s)
-        if h > best:
-            best = h
-    return best + 1
 
 
 # -- generators --------------------------------------------------------------

@@ -8,12 +8,21 @@ from dynbc import (
     brandes_exact,
     compute_extended_sssp,
     dist_eq,
+    exact_vertex_diameter,
     generate,
+    max_shortest_path_hops,
     predecessors,
 )
-from dynbc.errors import InvalidParams, Unreachable
+from dynbc.errors import InvalidNode, InvalidParams, Unreachable
 
-from helpers import diamond, naive_betweenness, random_graph
+from helpers import (
+    NEAR_TIE_WEIGHTS,
+    WEIGHT_CHOICES,
+    diamond,
+    naive_betweenness,
+    naive_vertex_diameter,
+    random_graph,
+)
 
 
 def test_extended_sssp_path():
@@ -116,8 +125,32 @@ def test_brandes_matches_path_enumeration_oracle():
         cases.append(
             random_graph(rng, rng.randrange(4, 8), avg_deg=2.0, directed=True, weighted=True)
         )
+    for directed in (False, True):
+        for _ in range(4):
+            cases.append(
+                random_graph(rng, rng.randrange(4, 8), avg_deg=2.0, directed=directed,
+                             weighted=True, weights=NEAR_TIE_WEIGHTS)
+            )
     for g in cases:
         got = brandes_exact(g)
         want = naive_betweenness(g)
         for a, b in zip(got, want):
             assert abs(a - b) <= 1e-12
+
+
+def test_max_shortest_path_hops_rejects_bad_source():
+    for weighted in (False, True):
+        g = generate("path", n=3, weighted=weighted)
+        for s in (-1, 3):
+            with pytest.raises(InvalidNode):
+                max_shortest_path_hops(g, s)
+
+
+def test_exact_vertex_diameter_matches_path_enumeration():
+    rng = random.Random(23)
+    for directed in (False, True):
+        for weights in (None, WEIGHT_CHOICES, NEAR_TIE_WEIGHTS):
+            for _ in range(10):
+                g = random_graph(rng, rng.randrange(2, 9), avg_deg=2.0, directed=directed,
+                                 weighted=weights is not None, weights=weights)
+                assert exact_vertex_diameter(g) == naive_vertex_diameter(g)

@@ -170,6 +170,18 @@ def test_apply_batch_validation_and_atomicity():
         apply_batch(g, [EdgeEvent(0, 9)])
 
 
+def test_apply_batch_rechecks_events_changed_after_construction():
+    g = DynGraph(4, weighted=True)
+    bad_weight = EdgeEvent(0, 1)
+    bad_weight.weight = -1.0
+    self_loop = EdgeEvent(0, 1)
+    self_loop.v = 0
+    for ev in (bad_weight, self_loop):
+        with pytest.raises(InvalidParams):
+            apply_batch(g, [EdgeEvent(2, 3), ev])
+        assert g.m == 0
+
+
 def test_apply_batch_records_old_weights():
     g = DynGraph(3, weighted=True)
     g.insert_edge(0, 1, 4.0)
