@@ -2,11 +2,13 @@
 
 Nodes are dense integers in [0, n) and the node set is fixed when a graph is
 built. Edges carry positive finite weights (pinned to 1 on unweighted graphs).
-Every change to the edges goes through one private writer,
-``DynGraph._write``. A batch is any iterable of ``EdgeEvent``; ``apply_batch``
-validates and canonicalizes it before it touches the adjacency structure, so
-an update algorithm downstream sees at most one effective event per node
-pair.
+A batch is any iterable of ``EdgeEvent``. Each check is made in one place:
+an event checks itself when it is built and cannot change afterwards;
+``apply_batch`` checks it against the graph and canonicalizes the batch
+before the first write, so an update algorithm downstream sees at most one
+effective event per node pair; and one private writer, ``DynGraph._write``,
+makes every change to the edges. The single-edge mutators are one-event
+batches.
 
 The module also houses the component labelers (weak components, which are
 the connected components of an undirected graph, and SCCs) and small
@@ -58,12 +60,16 @@ def dist_lt(a, b):
     return a < b and not dist_eq(a, b)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeEvent:
-    """One edge operation. Deletes carry no weight; the other ops require a
-    positive finite one (defaulting to 1). ``old_weight`` is filled in by
-    apply_batch on effective delete/set-weight events so that consumers can
-    classify the change without re-reading the pre-batch graph."""
+    """One edge operation, immutable once built. The constructor checks
+    everything an event is on its own: a known op, no self-loop, no weight
+    on a delete, and a positive finite number as the weight of the other
+    ops (an insert defaults to 1; a set-weight must name its weight), and a
+    non-negative timestamp. ``apply_batch`` checks it against a graph.
+    ``old_weight`` is filled in by apply_batch on effective delete/set-weight
+    events so that consumers can classify the change without re-reading the
+    pre-batch graph."""
 
     u: int
     v: int
@@ -73,20 +79,24 @@ class EdgeEvent:
     old_weight: float | None = None
 
     def __post_init__(self):
-        if self.op not in _OPS:
-            raise InvalidParams(f"unknown edge op {self.op!r}")
+        op, w, t = self.op, self.weight, self.timestamp
+        if op not in _OPS:
+            raise InvalidParams(f"unknown edge op {op!r}")
         if self.u == self.v:
             raise InvalidParams(f"self-loop ({self.u}, {self.v}) rejected")
-        if self.op == DELETE:
-            if self.weight is not None:
-                raise InvalidParams("delete events carry no weight")
-        else:
-            if self.weight is None:
-                self.weight = 1.0
-            if not (self.weight > 0 and math.isfinite(self.weight)):
-                raise InvalidParams(f"{self.op} weight must be positive and finite")
-        if self.timestamp is not None and self.timestamp < 0:
-            raise InvalidParams("timestamp must be non-negative")
+        if op == DELETE and w is not None:
+            raise InvalidParams("delete events carry no weight")
+        if op == SET_WEIGHT and w is None:
+            raise InvalidParams("set-weight events need a weight")
+        if op == INSERT and w is None:
+            object.__setattr__(self, "weight", w := 1.0)
+        try:  # comparisons, not isinstance, so numpy scalars pass
+            if op != DELETE and not (w > 0 and math.isfinite(w)):
+                raise InvalidParams(f"{op} weight must be positive and finite")
+            if t is not None and t < 0:
+                raise InvalidParams("timestamp must be non-negative")
+        except TypeError:
+            raise InvalidParams(f"non-numeric weight {w!r} or timestamp {t!r}") from None
 
 
 class DynGraph:
@@ -192,37 +202,18 @@ class DynGraph:
         return g
 
     # -- single-edge mutation ----------------------------------------------
+    # Each mutator is a one-event batch, so it raises what apply_batch
+    # raises and writes nothing when it raises. A weight of None takes the
+    # event's default: 1 for an insert, an error for a set-weight.
 
     def insert_edge(self, u, v, w=1.0):
-        self._check_node(u)
-        self._check_node(v)
-        if u == v:
-            raise InvalidParams("self-loops are rejected")
-        if v in self._adj[u]:
-            raise DuplicateInsert(f"edge ({u}, {v}) already present")
-        if not (w > 0 and math.isfinite(w)):
-            raise InvalidParams("edge weight must be positive and finite")
-        if not self.weighted and w != 1.0:
-            raise InvalidParams("unweighted graphs carry unit weights")
-        self._write(u, v, w)
+        apply_batch(self, [EdgeEvent(u, v, INSERT, w)])
 
     def delete_edge(self, u, v):
-        self._check_node(u)
-        self._check_node(v)
-        if v not in self._adj[u]:
-            raise MissingEdge(f"edge ({u}, {v}) not present")
-        self._write(u, v, None)
+        apply_batch(self, [EdgeEvent(u, v, DELETE)])
 
     def set_weight(self, u, v, w):
-        if not self.weighted:
-            raise InvalidParams("set-weight needs a weighted graph")
-        self._check_node(u)
-        self._check_node(v)
-        if v not in self._adj[u]:
-            raise MissingEdge(f"edge ({u}, {v}) not present")
-        if not (w > 0 and math.isfinite(w)):
-            raise InvalidParams("edge weight must be positive and finite")
-        self._write(u, v, w)
+        apply_batch(self, [EdgeEvent(u, v, SET_WEIGHT, w)])
 
     def _write(self, u, v, w):
         """Give edge (u, v) weight w, or remove it when w is None, with no
@@ -250,58 +241,46 @@ def apply_batch(g, batch):
     """Apply a batch, any iterable of EdgeEvent, and return the canonical
     list of effective events.
 
-    Events are validated in order against the running per-pair state, so
-    insert(a,b) followed by delete(a,b) is legal (and cancels), while two
-    inserts on one pair are not. Validation happens before any mutation, so
-    a rejected batch leaves the graph untouched. The returned list holds at
-    most one event per node pair: the net change between the pre- and
-    post-batch graphs, in first-touched order. Effective delete/set-weight
-    events record the pre-batch weight in ``old_weight``.
+    The events have checked themselves when they were built; this checks
+    each against the graph, in order and against the running per-pair
+    state, so insert(a,b) followed by delete(a,b) is legal (and cancels),
+    while two inserts on one pair are not. Every check comes before the
+    first write, so a rejected batch leaves the graph untouched; the writes
+    all go through ``DynGraph._write``. The returned list holds at most one
+    event per node pair: the net change between the pre- and post-batch
+    graphs, in first-touched order. Effective delete/set-weight events
+    record the pre-batch weight in ``old_weight``.
     """
     pair_state = {}
     initial = {}  # pre-batch weight of each touched pair, first-touched order
     for ev in batch:
+        if ev.op == SET_WEIGHT and not g.weighted:
+            raise InvalidParams("set-weight needs a weighted graph")
         g._check_node(ev.u)
         g._check_node(ev.v)
-        # EdgeEvent is mutable: recheck its constructor's checks before any write
-        if ev.u == ev.v:
-            raise InvalidParams(f"self-loop ({ev.u}, {ev.v}) rejected")
-        if ev.op != DELETE and not (ev.weight > 0 and math.isfinite(ev.weight)):
-            raise InvalidParams(f"{ev.op} weight must be positive and finite")
         k = (ev.u, ev.v) if g.directed or ev.u < ev.v else (ev.v, ev.u)
         if k not in pair_state:
             pair_state[k] = initial[k] = g._adj[k[0]].get(k[1])
-        cur = pair_state[k]
         if ev.op == INSERT:
-            if cur is not None:
+            if pair_state[k] is not None:
                 raise DuplicateInsert(f"insert on existing edge {k}")
             if not g.weighted and ev.weight != 1.0:
                 raise InvalidParams("unweighted graphs carry unit weights")
-            pair_state[k] = ev.weight
-        elif ev.op == DELETE:
-            if cur is None:
-                raise MissingEdge(f"delete on absent edge {k}")
-            pair_state[k] = None
-        else:  # SET_WEIGHT
-            if cur is None:
-                raise MissingEdge(f"set-weight on absent edge {k}")
-            if not g.weighted:
-                raise InvalidParams("set-weight needs a weighted graph")
-            pair_state[k] = ev.weight
+        elif pair_state[k] is None:
+            raise MissingEdge(f"{ev.op} on absent edge {k}")
+        pair_state[k] = ev.weight  # None for a delete
 
     effective = []
     for (u, v), before in initial.items():
         after = pair_state[u, v]
         if before == after:
             continue
+        g._write(u, v, after)
         if before is None:
-            g.insert_edge(u, v, after)
             effective.append(EdgeEvent(u, v, INSERT, after))
         elif after is None:
-            g.delete_edge(u, v)
             effective.append(EdgeEvent(u, v, DELETE, old_weight=before))
         else:
-            g.set_weight(u, v, after)
             effective.append(EdgeEvent(u, v, SET_WEIGHT, after, old_weight=before))
     return effective
 

@@ -3,6 +3,7 @@ The file keeps the name of ``dynvd``, the module the tracker used to live
 in, so that its test ids stay stable."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -146,10 +147,10 @@ def test_tracker_estimates_cover_each_component_vd():
             g.set_weight(u, v, spread_weight(rng))
         tr = VDTracker(g)
         for _ in range(4):
-            events = random_valid_batch(rng, g, rng.choice((1, 3, 6)))
-            for ev in events:
-                if ev.op != "delete":
-                    ev.weight = spread_weight(rng)
+            events = [
+                ev if ev.op == "delete" else replace(ev, weight=spread_weight(rng))
+                for ev in random_valid_batch(rng, g, rng.choice((1, 3, 6)))
+            ]
             tr.refresh(g, apply_batch(g, events))
             labels, _ = weakly_connected_components(g)
             for st in tr.sources:

@@ -1,4 +1,7 @@
+import math
 import random
+from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 
 import pytest
 
@@ -97,10 +100,10 @@ def test_sorted_weights_follow_every_mutation():
         assert g._wsorted is None
         g.max_hops(0.0)
         for _ in range(40):
-            events = random_valid_batch(rng, g, 3)
-            for ev in events:
-                if ev.op != "delete":
-                    ev.weight = spread_weight(rng)
+            events = [
+                ev if ev.op == "delete" else replace(ev, weight=spread_weight(rng))
+                for ev in random_valid_batch(rng, g, 3)
+            ]
             apply_batch(g, events)
             assert g._wsorted == sorted(w for *_, w in g.edges())
         assert g.copy()._wsorted is None
@@ -171,15 +174,99 @@ def test_apply_batch_validation_and_atomicity():
 
 
 def test_apply_batch_rechecks_events_changed_after_construction():
-    g = DynGraph(4, weighted=True)
-    bad_weight = EdgeEvent(0, 1)
-    bad_weight.weight = -1.0
-    self_loop = EdgeEvent(0, 1)
-    self_loop.v = 0
-    for ev in (bad_weight, self_loop):
+    # events are frozen, so the checks made when one was built still hold
+    # when apply_batch reads it
+    ev = EdgeEvent(0, 1, "set-weight", 3.0)
+    for field, value in (("weight", -1.0), ("v", 0), ("op", "bogus")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ev, field, value)
+    assert ev == EdgeEvent(0, 1, "set-weight", 3.0)
+
+
+def test_set_weight_needs_a_weight_and_a_weighted_graph():
+    with pytest.raises(InvalidParams):
+        EdgeEvent(0, 1, "set-weight")
+    g = DynGraph(3, weighted=True)
+    g.insert_edge(0, 1, 2.0)
+    with pytest.raises(InvalidParams):
+        g.set_weight(0, 1, None)
+    assert g.edge_weight(0, 1) == 2.0
+    # the graph's kind is checked before the edge's presence, by the
+    # mutator and by apply_batch alike
+    for call in (
+        lambda: apply_batch(DynGraph(3), [EdgeEvent(0, 1, "set-weight", 2.0)]),
+        lambda: DynGraph(3).set_weight(0, 1, 2.0),
+    ):
         with pytest.raises(InvalidParams):
-            apply_batch(g, [EdgeEvent(2, 3), ev])
-        assert g.m == 0
+            call()
+
+
+def test_non_numbers_raise_invalid_params():
+    g = DynGraph(3, weighted=True)
+    for call in (
+        lambda: EdgeEvent(0, 1, "insert", "2"),
+        lambda: EdgeEvent(0, 1, "set-weight", 1j),
+        lambda: EdgeEvent(0, 1, timestamp="x"),
+        lambda: g.insert_edge(0, 1, "2"),
+    ):
+        with pytest.raises(InvalidParams):
+            call()
+    assert g.m == 0
+    # any ordered number passes, not only floats
+    g.insert_edge(0, 1, Fraction(3, 2))
+    assert EdgeEvent(1, 2, "insert", 2, timestamp=Fraction(1, 2)).weight == 2
+    assert g.edge_weight(0, 1) == 1.5
+
+
+def _snapshot(g):
+    ws = g._wsorted
+    return (
+        [list(a.items()) for a in g._adj],
+        [list(a.items()) for a in g._radj],
+        g.m,
+        None if ws is None else list(ws),
+    )
+
+
+def test_each_mutator_fault_leaves_graph_unchanged():
+    rng = random.Random(11)
+    for directed in (False, True):
+        for weighted in (False, True):
+            g = random_graph(rng, 8, avg_deg=2.0, directed=directed, weighted=weighted)
+            if weighted:
+                g.max_hops(0.0)
+            (a, b, w), n = next(g.edges()), g.n
+            c, d = next(
+                (u, v) for u in range(n) for v in range(n)
+                if u != v and not g.has_edge(u, v)
+            )
+            faults = [
+                (InvalidNode, g.insert_edge, (c, n)),
+                (InvalidNode, g.insert_edge, (-1, d)),
+                (InvalidNode, g.delete_edge, (n, b)),
+                (InvalidParams, g.insert_edge, (c, c)),
+                (DuplicateInsert, g.insert_edge, (a, b, w)),
+                (MissingEdge, g.delete_edge, (c, d)),
+            ]
+            for bad in (0.0, -1.0, math.inf, math.nan):
+                faults.append((InvalidParams, g.insert_edge, (c, d, bad)))
+            if weighted:
+                faults += [
+                    (InvalidNode, g.set_weight, (a, n, 2.0)),
+                    (MissingEdge, g.set_weight, (c, d, 2.0)),
+                ]
+                for bad in (0.0, -1.0, math.inf, math.nan):
+                    faults.append((InvalidParams, g.set_weight, (a, b, bad)))
+            else:
+                faults += [
+                    (InvalidParams, g.insert_edge, (c, d, 2.0)),
+                    (InvalidParams, g.set_weight, (a, b, 1.0)),
+                ]
+            before = _snapshot(g)
+            for exc, mutator, args in faults:
+                with pytest.raises(exc):
+                    mutator(*args)
+                assert _snapshot(g) == before, (mutator.__name__, args)
 
 
 def test_apply_batch_records_old_weights():
