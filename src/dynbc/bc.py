@@ -35,7 +35,7 @@ from dataclasses import dataclass
 # module's names, so a profiler or a test can patch them here.
 from .dynsssp import DynSSSP, VisCounters, update_sssp
 from .errors import DeletionInIncrementalMode, InvalidParams
-from .exact import ExtendedSSSP, compute_extended_sssp
+from .exact import ExtendedSSSP, bidirectional_sssp, compute_extended_sssp
 from .graph import INSERT, SET_WEIGHT, dist_eq
 from .rng import stream
 from .sampling import SampledPath, sample_pair, sample_path, sample_size
@@ -185,8 +185,8 @@ def _add_samples(g, state, r_new):
     each full search so later updates repair it; samples drawn in one call
     from one source share a search, never an older one, whose repaired
     distances may differ from a fresh search's in the last bits. The static
-    runner stops each search at its target, which is all the path draw
-    reads, and stores only the path."""
+    runner draws from a search that covers just the pair (see
+    ``approximate_bc``) and stores only the path."""
     keep_state = state.mode != "static"
     params = state.params
     samples = state.samples
@@ -200,7 +200,8 @@ def _add_samples(g, state, r_new):
         rng = stream(params.seed, _SAMPLE_DOMAIN, idx)
         s, t = sample_pair(g.n, rng)
         if not keep_state:
-            sssp = compute_extended_sssp(g, s, stop_at=t)
+            sssp = (compute_extended_sssp(g, s, stop_at=t) if g.weighted
+                    else bidirectional_sssp(g, s, t))
         elif (sssp := searches.get(s)) is None:
             sssp = searches[s] = compute_extended_sssp(g, s)
         path = sample_path(g, sssp, t, rng)
@@ -211,9 +212,9 @@ def _add_samples(g, state, r_new):
 
 def approximate_bc(g, params):
     """Static sampling approximation of betweenness, the from-scratch
-    recomputation. Each search stops at its sampled target; for a given
-    seed the scores equal those of ``init_bc`` in ``ia``/``iaw``, whose
-    searches run in full.
+    recomputation. Each sample's search covers just its pair: a balanced
+    bidirectional BFS, or on a weighted graph a Dijkstra stopped at the
+    target. For a given seed the samples equal ``init_bc``'s in ``ia``/``iaw``.
     """
     if g.n < 2:
         raise InvalidParams("need at least two nodes")

@@ -1,6 +1,6 @@
-"""Exact shortest-path machinery: single-source search with path counting,
-on-demand predecessor queries, and the test-scale oracles: Brandes
-betweenness and the exact vertex diameter.
+"""Exact shortest-path machinery: single-source and bidirectional searches
+with path counting, on-demand predecessor queries, and the test-scale
+oracles: Brandes betweenness and the exact vertex diameter.
 
 Everything here is a pure function over an immutable graph snapshot, so
 running many sources concurrently is safe. Path counts are plain Python
@@ -27,7 +27,8 @@ class ExtendedSSSP:
     Invariants: d[source] = 0 and sigma[source] = 1; sigma[v] is the sum of
     sigma over the predecessors of v; sigma[v] = 0 exactly when v is
     unreachable (and not the source). ``weighted`` records which graph kind
-    the search ran on; ``update_sssp`` checks it before a repair.
+    the search ran on; ``update_sssp`` checks it before a repair. From
+    ``bidirectional_sssp`` both are sparse dicts; d reads INF for the rest.
     """
 
     source: int
@@ -43,7 +44,7 @@ def compute_extended_sssp(g, s, stop_at=None):
     are then final for every node no farther than stop_at, which is all that
     path sampling back from stop_at ever reads.
     """
-    g._check_node(s)
+    s = g._check_node(s)
     n = g.n
     d = [INF] * n
     sigma = [0] * n
@@ -92,6 +93,64 @@ def compute_extended_sssp(g, s, stop_at=None):
             elif c < dv or c - dv <= REL_TOL * c:
                 sigma[v] += su
     return ExtendedSSSP(s, True, d, sigma)
+
+
+class _Distances(dict):
+    """A sparse distance map: a node it does not hold is at INF."""
+
+    def __missing__(self, v):
+        return INF
+
+
+def bidirectional_sssp(g, s, t):
+    """d and sigma from s on every shortest s-t path of an unweighted graph.
+    Each step of this balanced bidirectional BFS expands one full layer of
+    the side (forward from s with counts, backward from t over in-edges)
+    whose frontier has the smaller degree sum, until a layer meets the other
+    ball. Its meeting nodes are all the shortest-path nodes of their level,
+    and the backward levels below them, walked down to t, hold the rest."""
+    if g.weighted:
+        raise InvalidParams("the bidirectional search is unweighted")
+    s, t = g._check_node(s), g._check_node(t)
+    adj, radj = g._adj, g._radj
+    d, sigma, back = {s: 0}, {s: 1}, {t: 0}
+    front, rfront = [s], [t]
+    meet = [s] if s == t else []
+    while front and rfront and not meet:
+        nxt = []
+        fwd = sum(len(adj[u]) for u in front) <= sum(len(radj[u]) for u in rfront)
+        if fwd:
+            for u in front:
+                du1 = d[u] + 1
+                su = sigma[u]
+                for v in adj[u]:
+                    if v not in d:
+                        d[v] = du1
+                        nxt.append(v)
+                    if d[v] == du1:
+                        sigma[v] = sigma.get(v, 0) + su
+            front = nxt
+        else:
+            for u in rfront:
+                bu1 = back[u] + 1
+                for v in radj[u]:
+                    if v not in back:
+                        back[v] = bu1
+                        nxt.append(v)
+            rfront = nxt
+        meet = [v for v in nxt if v in (back if fwd else d)]
+    for j in reversed(range(back[meet[0]] if meet else 0)):
+        level, meet = meet, []
+        for u in level:
+            du1 = d[u] + 1
+            su = sigma[u]
+            for v in adj[u]:
+                if back.get(v) == j:  # one level nearer t: a shortest-path edge
+                    if v not in d:
+                        d[v] = du1
+                        meet.append(v)
+                    sigma[v] = sigma.get(v, 0) + su
+    return ExtendedSSSP(s, False, _Distances(d), sigma)
 
 
 def predecessors(g, state, v):
@@ -216,7 +275,7 @@ def max_shortest_path_hops(g, s):
     off the shortest-path DAG in settling order. 0 when nothing else is
     reachable.
     """
-    g._check_node(s)
+    s = g._check_node(s)
     if not g.weighted:
         adj = g._adj
         dist = [-1] * g.n

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import random
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 
@@ -79,6 +81,9 @@ class EdgeEvent:
     old_weight: float | None = None
 
     def __post_init__(self):
+        with suppress(TypeError):  # integer-like ids become int; apply_batch flags the rest
+            object.__setattr__(self, "u", operator.index(self.u))
+            object.__setattr__(self, "v", operator.index(self.v))
         op, w, t = self.op, self.weight, self.timestamp
         if op not in _OPS:
             raise InvalidParams(f"unknown edge op {op!r}")
@@ -134,17 +139,21 @@ class DynGraph:
         return self._m
 
     def _check_node(self, v):
-        if not isinstance(v, int) or not 0 <= v < self.n:
+        """v as an int; integer-like ids (numpy's too) are accepted."""
+        try:
+            i = operator.index(v)
+        except TypeError:
+            raise InvalidNode(f"node {v!r} is not an integer") from None
+        if not 0 <= i < self.n:
             raise InvalidNode(f"node {v!r} outside [0, {self.n})")
+        return i
 
     def has_edge(self, u, v):
-        self._check_node(u)
-        self._check_node(v)
+        u, v = self._check_node(u), self._check_node(v)
         return v in self._adj[u]
 
     def edge_weight(self, u, v):
-        self._check_node(u)
-        self._check_node(v)
+        u, v = self._check_node(u), self._check_node(v)
         try:
             return self._adj[u][v]
         except KeyError:

@@ -70,6 +70,22 @@ def test_init_matches_static_runner():
     assert scores(approximate_bc(gw, params)) == scores(init_bc(gw, params, "iaw"))
 
 
+def test_static_runner_draws_init_samples_on_directed_and_fragmented_graphs():
+    # a directed graph draws through in-edges backward from the target, and a
+    # fragmented one draws empty paths for its unreachable pairs
+    params = SamplingParams(0.2, 0.1, seed=17)
+    directed = generate("erdos-renyi", n=120, p=0.03, directed=True, seed=3)
+    fragmented = random_graph(random.Random(4), 150, avg_deg=0.9)
+    assert weakly_connected_components(fragmented)[1] > 1
+    for g in (directed, fragmented):
+        static, dynamic = approximate_bc(g, params), init_bc(g, params, "ia")
+        assert static.scores == dynamic.scores
+        drawn = [[(rec.s, rec.t, rec.path.internal, rec.path.empty) for rec in st.samples]
+                 for st in (static, dynamic)]
+        assert drawn[0] == drawn[1]
+        assert {True, False} <= {empty for *_, empty in drawn[0]}
+
+
 def test_init_mode_validation():
     g = generate("path", n=4)
     params = SamplingParams(0.3, 0.3)

@@ -12,8 +12,10 @@ from dynbc import (
     generate,
     max_shortest_path_hops,
     predecessors,
+    sample_path,
 )
 from dynbc.errors import InvalidNode, InvalidParams, Unreachable
+from dynbc.exact import bidirectional_sssp
 
 from helpers import (
     NEAR_TIE_WEIGHTS,
@@ -51,6 +53,50 @@ def test_extended_sssp_unreachable():
     g.insert_edge(0, 1)
     st = compute_extended_sssp(g, 0)
     assert st.d[2] == INF and st.sigma[2] == 0
+
+
+def _shortest_path_nodes(g, full, t):
+    """Every node on a shortest full.source-t path, by the predecessor DAG."""
+    seen, todo = {t}, [t]
+    while todo:
+        for u in predecessors(g, full, todo.pop()):
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return seen
+
+
+def test_bidirectional_search_draws_what_the_forward_search_draws():
+    rng = random.Random(20261022)
+    pairs = empty = 0
+    for k in range(80):
+        g = random_graph(rng, rng.randint(2, 30), avg_deg=rng.choice((0.7, 1.5, 3.0)),
+                         directed=k % 2 == 1)
+        for s in range(g.n):
+            full = compute_extended_sssp(g, s)
+            for t in range(g.n):
+                if t == s:
+                    continue
+                bi = bidirectional_sssp(g, s, t)
+                fwd = compute_extended_sssp(g, s, stop_at=t)
+                a, b = (sample_path(g, st, t, random.Random(pairs)) for st in (bi, fwd))
+                assert a == b, (k, s, t)  # same pair, internal nodes and empty flag
+                pairs += 1
+                assert bi.d[t] == full.d[t]
+                if full.d[t] == INF:
+                    empty += 1
+                    continue
+                for v in _shortest_path_nodes(g, full, t):
+                    assert (bi.d[v], bi.sigma[v]) == (full.d[v], full.sigma[v])
+    assert pairs > 10_000 and 0 < empty < pairs
+
+
+def test_bidirectional_search_rejects_weighted_graphs_and_bad_nodes():
+    with pytest.raises(InvalidParams):
+        bidirectional_sssp(generate("path", n=3, weighted=True), 0, 2)
+    for s, t in ((0, 3), (-1, 2)):
+        with pytest.raises(InvalidNode):
+            bidirectional_sssp(generate("path", n=3), s, t)
 
 
 def test_truncated_search_agrees_up_to_target():

@@ -9,11 +9,14 @@ from dynbc import (
     DynGraph,
     EdgeEvent,
     apply_batch,
+    compute_extended_sssp,
     exact_vertex_diameter,
     generate,
+    max_shortest_path_hops,
     strongly_connected_components,
     weakly_connected_components,
 )
+from dynbc.exact import bidirectional_sssp
 from dynbc.errors import (
     DuplicateInsert,
     InvalidNode,
@@ -216,6 +219,38 @@ def test_non_numbers_raise_invalid_params():
     g.insert_edge(0, 1, Fraction(3, 2))
     assert EdgeEvent(1, 2, "insert", 2, timestamp=Fraction(1, 2)).weight == 2
     assert g.edge_weight(0, 1) == 1.5
+
+
+class _Index:
+    """An integer-like node id that is not an int, as numpy's integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_integer_like_node_ids_are_stored_as_int():
+    ev = EdgeEvent(_Index(0), _Index(2))
+    assert (ev.u, ev.v) == (0, 2) and type(ev.u) is type(ev.v) is int
+    g = DynGraph(3, directed=True)
+    g.insert_edge(_Index(0), 1)
+    apply_batch(g, [ev])
+    assert [list(map(type, a)) for a in g._adj] == [[int, int], [], []]
+    assert [list(a) for a in g._radj] == [[], [0], [0]]
+    # every node check hands back the int it accepted
+    assert g.has_edge(_Index(0), _Index(2)) and g.edge_weight(_Index(0), _Index(1)) == 1.0
+    assert type(compute_extended_sssp(g, _Index(0)).source) is int
+    st = bidirectional_sssp(g, _Index(0), _Index(2))
+    assert (st.source, st.d[2], st.sigma[2]) == (0, 1, 1) and type(st.source) is int
+    assert max_shortest_path_hops(g, _Index(0)) == 1
+    with pytest.raises(InvalidNode, match="outside"):
+        g.insert_edge(_Index(3), 1)
+    for bad in (1.0, "1", None):
+        with pytest.raises(InvalidNode, match="not an integer"):
+            g.insert_edge(bad, 2)
+    assert g.m == 2
 
 
 def _snapshot(g):
